@@ -13,7 +13,6 @@
 
 use rtcg_bench::{time_it, Table};
 use rtcg_core::feasibility::{exact, parallel};
-use rtcg_core::model::Model;
 use rtcg_engine::{AnalysisRequest, Engine, Verdict};
 use rtcg_hardness::families::chain_family_with_deadline;
 use rtcg_hardness::{
@@ -161,58 +160,7 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    // part 4: incremental deadline sweep — the engine's candidate memo
-    // across binary-search probes vs one cold complete search per probe
-    let mut t = Table::new(&[
-        "chains n",
-        "probes",
-        "cold leaf evals",
-        "engine computed",
-        "engine saved",
-        "leaf-eval ratio",
-    ]);
-    for n in 1..=2usize {
-        let model = chain_family(n);
-        let cfg = exact::SearchConfig {
-            max_len: 3 * n + 1,
-            node_budget: 60_000_000,
-        };
-        let mut cold_evals = 0u64;
-        let mut probes = 0u64;
-        let cold_rows = rtcg_core::sensitivity::deadline_sensitivities_with(
-            &model,
-            &mut |m: &Model| -> Result<bool, rtcg_core::ModelError> {
-                let out = exact::find_feasible(m, cfg)?;
-                cold_evals += out.candidates_checked;
-                probes += 1;
-                Ok(out.schedule.is_some())
-            },
-        )
-        .unwrap();
-        let mut req = AnalysisRequest::exact();
-        req.search = cfg;
-        let engine = Engine::new();
-        let warm_rows = engine.deadline_sensitivities(&model, &req).unwrap();
-        for (c, w) in cold_rows.iter().zip(&warm_rows) {
-            assert_eq!(
-                c.minimum_feasible, w.minimum_feasible,
-                "engine sweep must match cold sweep ({})",
-                c.name
-            );
-        }
-        let stats = engine.stats();
-        t.row(&[
-            n.to_string(),
-            probes.to_string(),
-            cold_evals.to_string(),
-            stats.leaf_evals_computed.to_string(),
-            stats.leaf_evals_saved.to_string(),
-            format!("{}x", cold_evals / stats.leaf_evals_computed.max(1)),
-        ]);
-    }
-    println!("{}", t.render());
     println!("E3 expectation: nodes visited grows exponentially in n (alphabet^(3n+1));");
     println!("3-PARTITION witnesses verify feasible at every m; prefix pruning cuts");
-    println!("candidates by >=5x on infeasible instances at identical verdicts; the");
-    println!("engine's candidate memo cuts sweep leaf evals by >=5x at equal minima.");
+    println!("candidates by >=5x on infeasible instances at identical verdicts.");
 }

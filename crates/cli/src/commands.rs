@@ -128,7 +128,7 @@ pub(crate) fn load_cache_report(
 /// [`load_cache_report`], reporting on stdout.
 pub(crate) fn load_cache(engine: &Engine, common: &CommonOpts) -> Result<(), CliError> {
     if let Some(line) = load_cache_report(engine, common)? {
-        println!("{line}");
+        outln!("{line}");
     }
     Ok(())
 }
@@ -141,9 +141,10 @@ pub(crate) fn save_cache(engine: &Engine, common: &CommonOpts) -> Result<(), Cli
     let stats = engine
         .save_snapshot(path)
         .map_err(|e| CliError::Input(format!("cannot save cache `{path}`: {e}")))?;
-    println!(
+    outln!(
         "cache: saved {} section(s) to `{path}` ({} bytes)",
-        stats.sections, stats.bytes
+        stats.sections,
+        stats.bytes
     );
     Ok(())
 }
@@ -181,29 +182,25 @@ pub(crate) fn engine_err(e: EngineError) -> CliError {
 
 pub(crate) fn print_cache_stats(engine: &Engine) {
     let s = engine.stats();
-    println!(
-        "engine cache: {} hit(s), {} miss(es); leaf evals: {} saved, {} computed; \
-         {} structure session(s), {} candidate memo(s)",
-        s.hits, s.misses, s.leaf_evals_saved, s.leaf_evals_computed, s.sessions, s.memo_candidates
-    );
+    outln!("engine cache: {} hit(s), {} miss(es)", s.hits, s.misses);
 }
 
 /// `rtcg check [--cache-stats]` — parse, validate, report bounds.
 pub fn check(path: &str, flags: &[String]) -> Result<(), CliError> {
     let (_, model) = load(path)?;
-    println!("{path}: OK");
-    println!("{}", summary(&model));
+    outln!("{path}: OK");
+    outln!("{}", summary(&model));
     match rtcg_core::feasibility::quick_infeasible(&model)
         .map_err(|e| CliError::Input(e.to_string()))?
     {
-        Some(reason) => println!("warning: certainly infeasible — {reason}"),
-        None => println!("necessary conditions pass (density bound, span bounds)"),
+        Some(reason) => outln!("warning: certainly infeasible — {reason}"),
+        None => outln!("necessary conditions pass (density bound, span bounds)"),
     }
     for (_, c) in model.constraints_enumerated() {
         let w = c
             .computation_time(model.comm())
             .map_err(|e| CliError::Input(e.to_string()))?;
-        println!(
+        outln!(
             "  {:<16} {:<12} p={:<6} d={:<6} w={}",
             c.name,
             if c.is_periodic() {
@@ -230,7 +227,7 @@ pub fn check(path: &str, flags: &[String]) -> Result<(), CliError> {
             Verdict::Infeasible { reason } => format!("infeasible — {reason}"),
             Verdict::Unknown { reason } => format!("unknown — {reason}"),
         };
-        println!("engine verdict: {verdict}");
+        outln!("engine verdict: {verdict}");
         print_cache_stats(&engine);
     }
     Ok(())
@@ -270,7 +267,7 @@ fn synthesize_inner(path: &str, flags: &[String]) -> Result<(), CliError> {
     };
     save_cache(&engine, &common)?;
     if let (AnalysisMode::Exact, Some(stats)) = (req.mode, report.search) {
-        println!(
+        outln!(
             "exact search ({} thread(s), max len {}, budget {}): {} nodes, {} candidates{}",
             req.threads,
             req.search.max_len,
@@ -287,8 +284,8 @@ fn synthesize_inner(path: &str, flags: &[String]) -> Result<(), CliError> {
     let result = match &report.verdict {
         Verdict::Feasible { schedule, strategy } => {
             match req.mode {
-                AnalysisMode::Heuristic => println!("latency scheduling ({strategy}):"),
-                AnalysisMode::Merged => println!(
+                AnalysisMode::Heuristic => outln!("latency scheduling ({strategy}):"),
+                AnalysisMode::Merged => outln!(
                     "merged latency scheduling ({strategy}, {} group(s) merged):",
                     report.groups_merged
                 ),
@@ -297,7 +294,7 @@ fn synthesize_inner(path: &str, flags: &[String]) -> Result<(), CliError> {
             print_schedule(&report.analysis_model, schedule, gantt_ticks)
         }
         Verdict::FeasibleLanes { schedule, strategy } => {
-            println!("lane scheduling ({strategy}):");
+            outln!("lane scheduling ({strategy}):");
             print_lane_schedule(&report.analysis_model, schedule)
         }
         Verdict::Infeasible { reason } => Err(CliError::Infeasible(reason.clone())),
@@ -335,7 +332,7 @@ fn analyze_inner(path: &str, flags: &[String]) -> Result<(), CliError> {
     let engine = Engine::new();
     load_cache(&engine, &common)?;
     if flags.iter().any(|f| f == "--sweep") {
-        println!("deadline sensitivity sweep ({}):", mode_name(req.mode));
+        outln!("deadline sensitivity sweep ({}):", mode_name(req.mode));
         let rows = engine
             .deadline_sensitivities(&model, &req)
             .map_err(engine_err)?;
@@ -345,7 +342,7 @@ fn analyze_inner(path: &str, flags: &[String]) -> Result<(), CliError> {
         let pct = engine
             .max_uniform_tightening(&model, &req)
             .map_err(engine_err)?;
-        println!("maximum uniform tightening: {pct}% of declared deadlines");
+        outln!("maximum uniform tightening: {pct}% of declared deadlines");
         save_cache(&engine, &common)?;
     } else {
         let report = {
@@ -357,7 +354,7 @@ fn analyze_inner(path: &str, flags: &[String]) -> Result<(), CliError> {
         };
         save_cache(&engine, &common)?;
         if let Some(stats) = report.search {
-            println!(
+            outln!(
                 "search: {} nodes, {} candidates{}",
                 stats.nodes_visited,
                 stats.candidates_checked,
@@ -370,11 +367,11 @@ fn analyze_inner(path: &str, flags: &[String]) -> Result<(), CliError> {
         }
         let verdict = match &report.verdict {
             Verdict::Feasible { schedule, strategy } => {
-                println!("feasible ({strategy}):");
+                outln!("feasible ({strategy}):");
                 print_schedule(&report.analysis_model, schedule, None)
             }
             Verdict::FeasibleLanes { schedule, strategy } => {
-                println!("feasible ({strategy}):");
+                outln!("feasible ({strategy}):");
                 print_lane_schedule(&report.analysis_model, schedule)
             }
             Verdict::Infeasible { reason } => Err(CliError::Infeasible(reason.clone())),
@@ -452,7 +449,7 @@ fn analyze_batch_inner(manifest: &str, flags: &[String]) -> Result<(), CliError>
             "manifest `{manifest}` lists no specs"
         )));
     }
-    println!(
+    outln!(
         "batch: {} spec(s), {} worker thread(s), budget {}",
         jobs.len(),
         opts.threads,
@@ -501,9 +498,9 @@ fn analyze_batch_inner(manifest: &str, flags: &[String]) -> Result<(), CliError>
             }
             None => String::new(),
         };
-        println!("  {path:<width$}  {verdict}{tag}");
+        outln!("  {path:<width$}  {verdict}{tag}");
     }
-    println!(
+    outln!(
         "summary: {feasible} feasible, {infeasible} infeasible, {unknown} unknown, \
          {errors} error(s), {degraded} degraded"
     );
@@ -530,7 +527,7 @@ fn analyze_batch_inner(manifest: &str, flags: &[String]) -> Result<(), CliError>
 /// minimum exceeds the declared deadline, e.g. from a degraded probe);
 /// that renders as `n/a` rather than panicking mid-table.
 pub(crate) fn print_sensitivity_row(r: &rtcg_core::sensitivity::DeadlineSensitivity) {
-    println!("{}", sensitivity_row(r));
+    outln!("{}", sensitivity_row(r));
 }
 
 fn sensitivity_row(r: &rtcg_core::sensitivity::DeadlineSensitivity) -> String {
@@ -563,7 +560,7 @@ fn print_schedule(
     gantt_ticks: Option<u64>,
 ) -> Result<(), CliError> {
     let comm = model.comm();
-    println!(
+    outln!(
         "schedule: {} actions, duration {} ticks, busy {:.1}%",
         schedule.len(),
         schedule
@@ -574,7 +571,7 @@ fn print_schedule(
                 .busy_fraction(comm)
                 .map_err(|e| CliError::Input(e.to_string()))?
     );
-    println!(
+    outln!(
         "{}",
         schedule
             .display(comm)
@@ -583,13 +580,13 @@ fn print_schedule(
     let report = schedule
         .feasibility(model)
         .map_err(|e| CliError::Input(e.to_string()))?;
-    print!("{report}");
+    out!("{report}");
     if let Some(n) = gantt_ticks {
         let trace = schedule
             .expand(comm, 2)
             .map_err(|e| CliError::Input(e.to_string()))?;
-        println!();
-        print!(
+        outln!();
+        out!(
             "{}",
             render_gantt(&trace, comm, 0, n).map_err(|e| CliError::Input(e.to_string()))?
         );
@@ -607,14 +604,14 @@ fn print_lane_schedule(
     schedule: &rtcg_core::feasibility::LaneSchedule,
 ) -> Result<(), CliError> {
     let comm = model.comm();
-    println!(
+    outln!(
         "lane schedule: {} lanes, joint period {} ticks",
         schedule.lane_count(),
         schedule
             .joint_period(comm)
             .map_err(|e| CliError::Input(e.to_string()))?
     );
-    println!(
+    outln!(
         "{}",
         schedule
             .display(comm)
@@ -623,7 +620,7 @@ fn print_lane_schedule(
     let report = schedule
         .feasibility(model)
         .map_err(|e| CliError::Input(e.to_string()))?;
-    print!("{report}");
+    out!("{report}");
     if !report.is_feasible() {
         return Err(CliError::Infeasible(
             "synthesized lane schedule failed verification".into(),
@@ -679,10 +676,10 @@ fn simulate_inner(path: &str, flags: &[String]) -> Result<(), CliError> {
     let seed = flag_value(flags, "--seed")?.unwrap_or(0);
     let out = core_synthesize(&model).map_err(|e| CliError::Infeasible(e.to_string()))?;
     let run = run_simulation(out.model(), &out.schedule, ticks, seed)?;
-    println!("simulated {ticks} ticks (seed {seed}):");
-    print!("{}", rtcg_sim::report::render_rows(&run));
+    outln!("simulated {ticks} ticks (seed {seed}):");
+    out!("{}", rtcg_sim::report::render_rows(&run));
     if SimReport::no_misses(&run) {
-        println!("all deadlines met");
+        outln!("all deadlines met");
         Ok(())
     } else {
         Err(CliError::Infeasible("deadline misses observed".into()))
@@ -699,14 +696,14 @@ pub fn sensitivity(path: &str, flags: &[String]) -> Result<(), CliError> {
     let rows = engine
         .deadline_sensitivities(&model, &req)
         .map_err(engine_err)?;
-    println!("deadline sensitivity (synthesizer-verified minima):");
+    outln!("deadline sensitivity (synthesizer-verified minima):");
     for r in rows {
         print_sensitivity_row(&r);
     }
     let pct = engine
         .max_uniform_tightening(&model, &req)
         .map_err(engine_err)?;
-    println!("maximum uniform tightening: {pct}% of declared deadlines");
+    outln!("maximum uniform tightening: {pct}% of declared deadlines");
     if flags.iter().any(|f| f == "--cache-stats") {
         print_cache_stats(&engine);
     }
@@ -716,7 +713,7 @@ pub fn sensitivity(path: &str, flags: &[String]) -> Result<(), CliError> {
 /// `rtcg dot`.
 pub fn dot(path: &str) -> Result<(), CliError> {
     let (_, model) = load(path)?;
-    print!("{}", model.comm().to_dot(path));
+    out!("{}", model.comm().to_dot(path));
     Ok(())
 }
 
@@ -725,13 +722,13 @@ pub fn codegen(path: &str) -> Result<(), CliError> {
     let (_, model) = load(path)?;
     let (programs, _) = rtcg_synth::straightline::synthesize_programs(&model)
         .map_err(|e| CliError::Input(e.to_string()))?;
-    print!(
+    out!(
         "{}",
         rtcg_synth::codegen::render_process_system(&model, &programs)
             .map_err(|e| CliError::Input(e.to_string()))?
     );
     let out = core_synthesize(&model).map_err(|e| CliError::Infeasible(e.to_string()))?;
-    print!(
+    out!(
         "{}",
         rtcg_synth::codegen::render_table_scheduler(out.model().comm(), &out.schedule)
             .map_err(|e| CliError::Input(e.to_string()))?

@@ -55,7 +55,7 @@ pub fn generate(dir: &str, flags: &[String]) -> Result<(), CliError> {
     }
     std::fs::write(base.join(MANIFEST), manifest)
         .map_err(|e| CliError::Input(format!("cannot write `{dir}/{MANIFEST}`: {e}")))?;
-    println!("corpus: wrote {count} spec(s) (seed {seed}) and {MANIFEST} under `{dir}`");
+    outln!("corpus: wrote {count} spec(s) (seed {seed}) and {MANIFEST} under `{dir}`");
     Ok(())
 }
 

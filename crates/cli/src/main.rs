@@ -22,11 +22,43 @@
 
 use std::process::ExitCode;
 
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod commands;
 mod corpus;
 mod profile;
 mod protocol;
 mod serve;
+
+/// The one writer behind every stdout print of the CLI ([`out!`],
+/// [`outln!`]). A reader that closed the pipe early (`rtcg analyze … |
+/// head`) ends the process quietly with exit code 0; any other write
+/// failure exits 2 with a diagnostic.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: stdout write failed: {e}");
+        std::process::exit(2);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -84,8 +116,8 @@ analysis (analyze / synthesize / sensitivity):
                      heuristic uses critical-path list scheduling
   --budget-ms M      wall-clock budget per analysis in milliseconds
   --sweep            binary-search each constraint's minimum feasible deadline,
-                     reusing memoized candidate analyses across probes
-  --cache-stats      print engine cache hit/miss and leaf-eval-saved counters
+                     answering repeated probes from the result memo
+  --cache-stats      print engine result-memo hit/miss counters
 
 batch (analyze --batch):
   <manifest>         text file listing one spec per line: a bare path, or a
@@ -113,8 +145,8 @@ serve (persistent analysis daemon):
   remove_element, add_channel, remove_channel, add_constraint,
   remove_constraint), undo, analyze (mode/max_len/budget/selection), stats,
   snapshot (persist the memo, path defaults to --cache-file), restore
-  (merge a snapshot back in), close. Sessions keep the candidate memo hot
-  across deltas; with --cache-file the daemon warms from the snapshot at
+  (merge a snapshot back in), close. Every session shares the engine's
+  result memo; with --cache-file the daemon warms from the snapshot at
   startup and checkpoints on EOF shutdown; see DESIGN.md sections 13-14
   and examples/specs/serve_session.jsonl
 
@@ -175,7 +207,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "dot" => commands::dot(rest(args)?),
         "codegen" => commands::codegen(rest(args)?),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),

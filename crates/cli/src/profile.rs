@@ -102,7 +102,7 @@ pub fn emit(rec: &MemoryRecorder, flags: &[String]) -> Result<(), CliError> {
         eprintln!("metrics written to {path} (Prometheus text exposition)");
     }
     if flags.iter().any(|f| f == "--metrics") {
-        print!("{}", render_metrics(rec));
+        out!("{}", render_metrics(rec));
     }
     Ok(())
 }
@@ -292,11 +292,11 @@ pub fn profile(path: &str, flags: &[String]) -> Result<(), CliError> {
     let (_, model) = load(path)?;
     let ticks = crate::commands::flag_value(flags, "--ticks")?.unwrap_or(1000);
 
-    println!("profiling {path}:");
+    outln!("profiling {path}:");
 
     // 1. necessary-condition bounds
     let bound = quick_infeasible(&model).map_err(|e| CliError::Input(e.to_string()))?;
-    println!(
+    outln!(
         "  bounds: {}",
         bound.map_or("pass".to_string(), |r| format!("infeasible ({r})"))
     );
@@ -323,29 +323,31 @@ pub fn profile(path: &str, flags: &[String]) -> Result<(), CliError> {
     // a degraded request (budget fallback, warm memo hit) may answer
     // without search stats; profile the row as degraded, don't panic
     match report.search {
-        Some(stats) => println!(
+        Some(stats) => outln!(
             "  exact search: {} nodes, {} candidates, schedule {}",
-            stats.nodes_visited, stats.candidates_checked, schedule_cell
+            stats.nodes_visited,
+            stats.candidates_checked,
+            schedule_cell
         ),
-        None => println!("  exact search: degraded (no search stats), schedule {schedule_cell}"),
+        None => outln!("  exact search: degraded (no search stats), schedule {schedule_cell}"),
     }
 
     // 3. heuristic synthesis + 4. table-executor simulation
     match core_synthesize(&model) {
         Ok(out) => {
-            println!(
+            outln!(
                 "  synthesis: {} ({} actions)",
                 out.strategy,
                 out.schedule.len()
             );
             let run = run_simulation(out.model(), &out.schedule, ticks, 0)?;
-            println!(
+            outln!(
                 "  simulation: {ticks} ticks, {} windows checked, {} missed",
                 run.total_checked(),
                 run.outcomes.iter().map(|o| o.missed).sum::<usize>()
             );
         }
-        Err(e) => println!("  synthesis: infeasible ({e})"),
+        Err(e) => outln!("  synthesis: infeasible ({e})"),
     }
 
     // 5. persistent-snapshot round-trip over the memo the steps above
@@ -360,9 +362,12 @@ pub fn profile(path: &str, flags: &[String]) -> Result<(), CliError> {
         .load_snapshot(&snap)
         .map_err(|e| CliError::Input(e.to_string()))?;
     let _ = std::fs::remove_file(&snap);
-    println!(
+    outln!(
         "  snapshot: {} section(s), {} bytes round-tripped ({} loaded, {} stale)",
-        saved.sections, saved.bytes, loaded.sections_loaded, loaded.sections_skipped
+        saved.sections,
+        saved.bytes,
+        loaded.sections_loaded,
+        loaded.sections_skipped
     );
 
     // fold the shard counters into the metric stream so every output
@@ -370,21 +375,21 @@ pub fn profile(path: &str, flags: &[String]) -> Result<(), CliError> {
     engine.publish_shard_metrics();
 
     if format == "prom" {
-        print!("{}", rec.prometheus_text());
+        out!("{}", rec.prometheus_text());
     } else {
-        print!("{}", render_metrics(rec));
-        print!("{}", render_shard_table(&engine.stats()));
+        out!("{}", render_metrics(rec));
+        out!("{}", render_shard_table(&engine.stats()));
     }
 
     if let Some(out) = flag_str(flags, "--metrics-out")? {
         std::fs::write(&out, rec.prometheus_text())
             .map_err(|e| CliError::Input(format!("cannot write `{out}`: {e}")))?;
-        println!("\nmetrics written to {out} (Prometheus text exposition)");
+        outln!("\nmetrics written to {out} (Prometheus text exposition)");
     }
     if let Some(out) = flag_str(flags, "--trace-out")? {
         std::fs::write(&out, rec.chrome_trace_json())
             .map_err(|e| CliError::Input(format!("cannot write `{out}`: {e}")))?;
-        println!("\ntrace written to {out} (open in Perfetto or chrome://tracing)");
+        outln!("\ntrace written to {out} (open in Perfetto or chrome://tracing)");
     }
     Ok(())
 }

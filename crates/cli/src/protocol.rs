@@ -50,11 +50,11 @@ pub enum Request {
     /// Report engine counters, plus per-session counters (all sessions,
     /// or just `id` when given).
     Stats { id: Option<String> },
-    /// Persist the engine memo (plus every open session's candidate
-    /// memo) to a snapshot file; `path` defaults to `--cache-file`.
+    /// Persist the engine's result memo to a snapshot file; `path`
+    /// defaults to `--cache-file`.
     Snapshot { path: Option<String> },
-    /// Merge a snapshot file into the live memo (warming open sessions
-    /// whose structure matches); `path` defaults to `--cache-file`.
+    /// Merge a snapshot file into the live result memo; `path` defaults
+    /// to `--cache-file`.
     Restore { path: Option<String> },
     /// Close session `id`, reporting its final counters.
     Close { id: String },

@@ -3,11 +3,10 @@
 //! One request line in, one response line out (see [`crate::protocol`]
 //! for the wire format). The daemon holds one [`Engine`] for its whole
 //! lifetime — every open session shares the 16-way sharded result memo
-//! — and a map of named [`Session`]s, each owning a resident model, a
-//! delta journal, and a hot candidate memo that survives model edits
-//! via sub-fingerprint invalidation. An editor or build system keeps
-//! the process alive across an edit-analyze loop instead of paying a
-//! cold start per probe.
+//! — and a map of named [`Session`]s, each owning a resident model and
+//! a delta journal. An editor or build system keeps the process alive
+//! across an edit-analyze loop instead of paying a cold start per
+//! probe.
 //!
 //! Request errors (bad JSON, wrong wire version, unknown session,
 //! rejected delta) answer `{"v":1,"ok":false,"error":...}` and leave
@@ -15,7 +14,7 @@
 //! ends the loop abnormally. EOF performs an orderly shutdown.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 use crate::commands::CommonOpts;
 use crate::protocol::{self, Request, SpecSource};
@@ -26,11 +25,10 @@ use serde_json::Value;
 
 /// `rtcg serve [--threads N] [--budget-ms M] [--cache-file FILE]
 /// [--metrics-out FILE] [--trace-out FILE]` — run the JSONL daemon
-/// until stdin closes. With `--cache-file`, the engine memo is warmed
-/// from the snapshot at startup (if the file exists) and checkpointed
-/// back — including every still-open session's candidate memo — on
-/// orderly EOF shutdown; `snapshot`/`restore` requests do the same
-/// mid-flight.
+/// until stdin closes. With `--cache-file`, the engine's result memo is
+/// warmed from the snapshot at startup (if the file exists) and
+/// checkpointed back on orderly EOF shutdown; `snapshot`/`restore`
+/// requests do the same mid-flight.
 pub fn serve(flags: &[String]) -> Result<(), CliError> {
     let opts = CommonOpts::parse(flags)?;
     let rec = crate::profile::recorder_for(flags);
@@ -45,8 +43,6 @@ pub fn serve(flags: &[String]) -> Result<(), CliError> {
         protocol::WIRE_VERSION
     );
     let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
     for line in stdin.lock().lines() {
         let line = line.map_err(|e| CliError::Input(format!("stdin read failed: {e}")))?;
         if line.trim().is_empty() {
@@ -56,16 +52,11 @@ pub fn serve(flags: &[String]) -> Result<(), CliError> {
             Ok(reply) => reply,
             Err(msg) => protocol::error_response(&msg),
         };
-        writeln!(out, "{reply}")
-            .and_then(|()| out.flush())
-            .map_err(|e| CliError::Input(format!("stdout write failed: {e}")))?;
+        outln!("{reply}");
     }
     if let Some(path) = &opts.cache_file {
-        // checkpoint on orderly shutdown with the open sessions still
-        // alive, so their resident candidate memos make it into the file
-        let refs: Vec<&Session<'_>> = sessions.values().collect();
         let stats = engine
-            .save_snapshot_with(path, &refs)
+            .save_snapshot(path)
             .map_err(|e| CliError::Input(format!("cannot save cache `{path}`: {e}")))?;
         eprintln!(
             "rtcg serve: checkpointed {} section(s) to `{path}` ({} bytes)",
@@ -120,10 +111,7 @@ fn handle<'e>(
                 ("op", Value::Str("delta".into())),
                 ("id", Value::Str(id)),
                 ("kind", Value::Str(out.kind.into())),
-                ("slices_evicted", Value::UInt(out.slices_evicted)),
-                ("slices_kept", Value::UInt(out.slices_kept)),
                 ("results_evicted", Value::UInt(out.results_evicted)),
-                ("full_invalidation", Value::Bool(out.full_invalidation)),
                 ("journal_len", Value::UInt(session.journal_len() as u64)),
             ]))
         }
@@ -204,17 +192,9 @@ fn handle<'e>(
                 fields.push(("nodes", Value::UInt(stats.nodes_visited)));
                 fields.push(("candidates", Value::UInt(stats.candidates_checked)));
             }
-            // per-call engine-counter deltas: the serve smoke test (and
-            // any latency-sensitive client) reads memo reuse off these
+            // per-call engine-counter delta: clients read result-memo
+            // reuse off this
             fields.push(("result_memo_hit", Value::Bool(after.hits > before.hits)));
-            fields.push((
-                "leaf_evals_saved",
-                Value::UInt(after.leaf_evals_saved - before.leaf_evals_saved),
-            ));
-            fields.push((
-                "leaf_evals_computed",
-                Value::UInt(after.leaf_evals_computed - before.leaf_evals_computed),
-            ));
             Ok(protocol::response(fields))
         }
         Request::Stats { id } => {
@@ -224,11 +204,6 @@ fn handle<'e>(
             let engine_obj = Value::Obj(vec![
                 ("hits".into(), Value::UInt(e.hits)),
                 ("misses".into(), Value::UInt(e.misses)),
-                ("leaf_evals_saved".into(), Value::UInt(e.leaf_evals_saved)),
-                (
-                    "leaf_evals_computed".into(),
-                    Value::UInt(e.leaf_evals_computed),
-                ),
                 ("result_occupancy".into(), Value::UInt(occupancy)),
                 ("result_evictions".into(), Value::UInt(evictions)),
                 (
@@ -275,9 +250,8 @@ fn handle<'e>(
             let path = path
                 .or_else(|| opts.cache_file.clone())
                 .ok_or("snapshot needs a `path` field (or serve started with --cache-file)")?;
-            let refs: Vec<&Session<'_>> = sessions.values().collect();
             let stats = engine
-                .save_snapshot_with(&path, &refs)
+                .save_snapshot(&path)
                 .map_err(|e| format!("cannot save snapshot `{path}`: {e}"))?;
             Ok(protocol::response(vec![
                 ("ok", Value::Bool(true)),
@@ -285,7 +259,6 @@ fn handle<'e>(
                 ("path", Value::Str(path)),
                 ("sections", Value::UInt(stats.sections)),
                 ("result_entries", Value::UInt(stats.result_entries)),
-                ("candidate_entries", Value::UInt(stats.candidate_entries)),
                 ("bytes", Value::UInt(stats.bytes)),
             ]))
         }
@@ -293,9 +266,8 @@ fn handle<'e>(
             let path = path
                 .or_else(|| opts.cache_file.clone())
                 .ok_or("restore needs a `path` field (or serve started with --cache-file)")?;
-            let mut muts: Vec<&mut Session<'_>> = sessions.values_mut().collect();
             let stats = engine
-                .load_snapshot_with(&path, &mut muts)
+                .load_snapshot(&path)
                 .map_err(|e| format!("cannot load snapshot `{path}`: {e}"))?;
             Ok(protocol::response(vec![
                 ("ok", Value::Bool(true)),
@@ -304,7 +276,6 @@ fn handle<'e>(
                 ("sections_loaded", Value::UInt(stats.sections_loaded)),
                 ("sections_skipped", Value::UInt(stats.sections_skipped)),
                 ("results_inserted", Value::UInt(stats.results_inserted)),
-                ("candidates_merged", Value::UInt(stats.candidates_merged)),
                 ("entries_skipped", Value::UInt(stats.entries_skipped)),
                 ("bytes", Value::UInt(stats.bytes)),
             ]))
@@ -338,13 +309,6 @@ fn session_stats_value(s: SessionStats) -> Value {
         ("deltas_applied".into(), Value::UInt(s.deltas_applied)),
         ("journal_len".into(), Value::UInt(s.journal_len as u64)),
         ("analyses".into(), Value::UInt(s.analyses)),
-        ("memo_candidates".into(), Value::UInt(s.memo_candidates)),
-        ("memo_entries".into(), Value::UInt(s.memo_entries)),
-        ("slices_evicted".into(), Value::UInt(s.slices_evicted)),
         ("results_evicted".into(), Value::UInt(s.results_evicted)),
-        (
-            "full_invalidations".into(),
-            Value::UInt(s.full_invalidations),
-        ),
     ])
 }

@@ -38,9 +38,7 @@ pub mod game;
 pub mod multilane;
 pub mod parallel;
 
-pub use bounds::{
-    density_lower_bound, quick_infeasible, InfeasibleReason, PrefixPruner, PrunerTemplate,
-};
+pub use bounds::{density_lower_bound, quick_infeasible, InfeasibleReason, PrefixPruner};
 pub use compiled::{CompiledChecker, MAX_BATCH};
 pub use exact::{
     find_feasible, find_feasible_with, find_feasible_with_cancel, is_canonical_rotation,

@@ -149,9 +149,51 @@ pub struct PrefixPruner {
 }
 
 impl PrefixPruner {
-    /// Builds the pruner for the search alphabet `{φ} ∪ used`.
+    /// Builds the pruner for the search alphabet `{φ} ∪ used`. `used`
+    /// must be the search alphabet ([`super::exact::used_elements`]) of
+    /// `model`. Walks every asynchronous constraint's task graph once:
+    /// for a fixed constraint `min_o (d_c − D(o)) = d_c − max_o D(o)`.
     pub fn new(model: &Model, used: &[ElementId]) -> Result<Self, ModelError> {
-        Ok(PrunerTemplate::new(model, used)?.instantiate(model))
+        let comm = model.comm();
+        let mut weight = Vec::with_capacity(used.len() + 1);
+        weight.push(1); // idle
+        for &e in used {
+            weight.push(comm.wcet(e)?);
+        }
+        let mut tightest_async = vec![Time::MAX; used.len() + 1];
+        for c in model.constraints() {
+            if c.kind != crate::constraint::ConstraintKind::Asynchronous {
+                continue;
+            }
+            let mut succ: std::collections::BTreeMap<crate::task::OpId, Vec<crate::task::OpId>> =
+                std::collections::BTreeMap::new();
+            for (from, to) in c.task.precedence_edges() {
+                succ.entry(from).or_default().push(to);
+            }
+            for (op_id, op) in c.task.ops() {
+                let Some(pos) = used.iter().position(|&u| u == op.element) else {
+                    continue;
+                };
+                // distinct-descendant work of this op (uniprocessor:
+                // descendants occupy disjoint ticks after it completes)
+                let mut seen = std::collections::BTreeSet::new();
+                let mut stack: Vec<_> = succ.get(&op_id).cloned().unwrap_or_default();
+                let mut downstream: Time = 0;
+                while let Some(o) = stack.pop() {
+                    if seen.insert(o) {
+                        let elem = c.task.element_of(o).expect("op exists");
+                        downstream += comm.wcet(elem)?;
+                        stack.extend(succ.get(&o).into_iter().flatten().copied());
+                    }
+                }
+                let t = &mut tightest_async[pos + 1];
+                *t = (*t).min(c.deadline.saturating_sub(downstream));
+            }
+        }
+        Ok(PrefixPruner {
+            weight,
+            tightest_async,
+        })
     }
 
     /// Number of non-idle symbols.
@@ -233,96 +275,6 @@ impl PrefixPruner {
                 }
             }
             out.push(true);
-        }
-    }
-}
-
-/// The deadline-independent part of a [`PrefixPruner`]: per-symbol
-/// weights plus, for every asynchronous constraint using a symbol, the
-/// *maximum downstream work* over that constraint's ops on the symbol
-/// (`min_o (d_c − D(o)) = d_c − max_o D(o)` for a fixed constraint, so
-/// the max is all that needs precomputing).
-///
-/// [`Self::instantiate`] re-reads the deadlines of an edited model with
-/// the same structure and rebuilds `tightest_async` in
-/// `O(symbols × constraints)` — no task-graph walks — which is what
-/// makes per-probe pruner refresh cheap in a sensitivity binary search.
-#[derive(Debug, Clone)]
-pub struct PrunerTemplate {
-    weight: Vec<Time>,
-    /// Per symbol (index 0 = idle, always empty): `(constraint index,
-    /// max downstream work)` for each asynchronous constraint with an op
-    /// on the symbol's element.
-    async_downstream: Vec<Vec<(usize, Time)>>,
-}
-
-impl PrunerTemplate {
-    /// Walks every asynchronous constraint's task graph once, recording
-    /// per-symbol maximum downstream work. `used` must be the search
-    /// alphabet ([`super::exact::used_elements`]) of `model`.
-    pub fn new(model: &Model, used: &[ElementId]) -> Result<Self, ModelError> {
-        let comm = model.comm();
-        let mut weight = Vec::with_capacity(used.len() + 1);
-        weight.push(1); // idle
-        for &e in used {
-            weight.push(comm.wcet(e)?);
-        }
-        let mut async_downstream: Vec<Vec<(usize, Time)>> = vec![Vec::new(); used.len() + 1];
-        for (ix, c) in model.constraints().iter().enumerate() {
-            if c.kind != crate::constraint::ConstraintKind::Asynchronous {
-                continue;
-            }
-            let mut succ: std::collections::BTreeMap<crate::task::OpId, Vec<crate::task::OpId>> =
-                std::collections::BTreeMap::new();
-            for (from, to) in c.task.precedence_edges() {
-                succ.entry(from).or_default().push(to);
-            }
-            for (op_id, op) in c.task.ops() {
-                let Some(pos) = used.iter().position(|&u| u == op.element) else {
-                    continue;
-                };
-                // distinct-descendant work of this op (uniprocessor:
-                // descendants occupy disjoint ticks after it completes)
-                let mut seen = std::collections::BTreeSet::new();
-                let mut stack: Vec<_> = succ.get(&op_id).cloned().unwrap_or_default();
-                let mut downstream: Time = 0;
-                while let Some(o) = stack.pop() {
-                    if seen.insert(o) {
-                        let elem = c.task.element_of(o).expect("op exists");
-                        downstream += comm.wcet(elem)?;
-                        stack.extend(succ.get(&o).into_iter().flatten().copied());
-                    }
-                }
-                let per_sym = &mut async_downstream[pos + 1];
-                match per_sym.iter_mut().find(|(i, _)| *i == ix) {
-                    Some((_, d)) => *d = (*d).max(downstream),
-                    None => per_sym.push((ix, downstream)),
-                }
-            }
-        }
-        Ok(PrunerTemplate {
-            weight,
-            async_downstream,
-        })
-    }
-
-    /// Rebuilds a [`PrefixPruner`] against `model`'s *current* deadlines.
-    /// `model` must share the structure the template was built from
-    /// (same elements, task graphs, and constraint order); only periods
-    /// and deadlines may differ.
-    pub fn instantiate(&self, model: &Model) -> PrefixPruner {
-        let constraints = model.constraints();
-        let mut tightest_async = vec![Time::MAX; self.weight.len()];
-        for (sym, per_sym) in self.async_downstream.iter().enumerate() {
-            for &(ix, downstream) in per_sym {
-                let eff = constraints[ix].deadline.saturating_sub(downstream);
-                let t = &mut tightest_async[sym];
-                *t = (*t).min(eff);
-            }
-        }
-        PrefixPruner {
-            weight: self.weight.clone(),
-            tightest_async,
         }
     }
 }
@@ -513,28 +465,6 @@ mod tests {
         assert!(p.viable(&[2, 1], 3, 1));
         // bare [e] is viable
         assert!(p.viable(&[0, 1], 1, 0));
-    }
-
-    #[test]
-    fn template_instantiate_matches_fresh_build_after_deadline_edit() {
-        // Editing one deadline and instantiating the cached template must
-        // equal building the pruner from scratch on the edited model.
-        let (m, _) = crate::mok_example::default_model();
-        let used = used_elements(&m);
-        let template = PrunerTemplate::new(&m, &used).unwrap();
-        for (ix, base) in m.constraints().iter().enumerate() {
-            for d in [base.deadline, base.deadline + 3, base.deadline.max(2) - 1] {
-                let mut cs = m.constraints().to_vec();
-                cs[ix].deadline = d;
-                let Ok(edited) = crate::model::Model::new(m.comm().clone(), cs) else {
-                    continue;
-                };
-                let fresh = PrefixPruner::new(&edited, &used).unwrap();
-                let inst = template.instantiate(&edited);
-                assert_eq!(fresh.weight, inst.weight);
-                assert_eq!(fresh.tightest_async, inst.tightest_async, "ix={ix} d={d}");
-            }
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! incremental trace view for the exact search's candidate-evaluation
 //! hot path.
 //!
-//! After the branch-and-bound rewrite and the engine's memoization, the
+//! After the branch-and-bound rewrite, the
 //! remaining per-candidate cost of [`super::exact`] is the leaf check
 //! itself. The classic path ([`crate::schedule::FeasibilityCache`])
 //! still expands every candidate into a [`crate::trace::Trace`]
@@ -54,8 +54,8 @@
 //! — and therefore what `FeasibilityCache::check` — would return, for
 //! *every* action string, including degenerate ones (elements missing,
 //! unknown ids, zero weights). The exact search's completeness claim,
-//! the parallel search's replay determinism, and the engine's memo
-//! reuse all rest on the leaf evaluator being a pure drop-in. The
+//! the parallel search's replay determinism, and the engine's warm ≡
+//! cold contract all rest on the leaf evaluator being a pure drop-in. The
 //! differential suites (`schedule.rs`, `tests/proptest_search.rs`,
 //! `rtcg-engine/tests/differential.rs`) pin this equivalence; the
 //! window kernel below mirrors [`crate::trace`]'s branch-and-bound
@@ -427,8 +427,8 @@ impl CompiledChecker {
     /// Exact latency of the candidate w.r.t. the asynchronous constraint
     /// at declaration index `ix` — bit-identical to
     /// [`crate::schedule::StaticSchedule::latency`] against that
-    /// constraint's task graph. Deadline-independent: this is the value
-    /// the engine's session memo stores.
+    /// constraint's task graph. Deadline-independent: the verdict for
+    /// any deadline `d` is `latency ≤ d`.
     pub fn async_latency(
         &mut self,
         actions: &[Action],
@@ -460,8 +460,8 @@ impl CompiledChecker {
 
     /// `(unserved windows, worst response over served windows)` for the
     /// periodic constraint at declaration index `ix`, over the joint
-    /// hyperperiod of the candidate and all periodic periods — the
-    /// deadline-independent pair the engine's session memo stores.
+    /// hyperperiod of the candidate and all periodic periods. The pair
+    /// is deadline-independent apart from the analysis horizon.
     pub fn periodic_stats(
         &mut self,
         actions: &[Action],

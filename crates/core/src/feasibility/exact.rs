@@ -268,9 +268,7 @@ impl SearchProgress {
 /// report, for every candidate, or the search's completeness claim (and
 /// the bit-identity between cached and cold analysis) breaks. The
 /// default evaluator is [`super::compiled::CompiledChecker`];
-/// [`FeasibilityCache`] is the retained baseline, and `rtcg-engine`
-/// injects a memoizing evaluator that reuses per-candidate latencies
-/// across deadline edits of one model structure.
+/// [`FeasibilityCache`] is the retained baseline.
 pub trait CandidateEval {
     /// True iff `actions` is a feasible schedule for `model`.
     fn check(&mut self, model: &Model, actions: &[Action]) -> Result<bool, ModelError>;
@@ -333,24 +331,8 @@ pub(crate) struct SearchCtx<'m> {
 
 impl<'m> SearchCtx<'m> {
     pub(crate) fn new(model: &'m Model) -> Result<Self, ModelError> {
-        Self::with_pruner(model, None)
-    }
-
-    /// Like [`Self::new`], but with a caller-supplied pruner (built
-    /// against [`used_elements`] of the same model). `None` builds one
-    /// from scratch.
-    pub(crate) fn with_pruner(
-        model: &'m Model,
-        pruner: Option<PrefixPruner>,
-    ) -> Result<Self, ModelError> {
         let used = used_elements(model);
-        let pruner = match pruner {
-            Some(p) => {
-                debug_assert_eq!(p.n_symbols(), used.len());
-                p
-            }
-            None => PrefixPruner::new(model, &used)?,
-        };
+        let pruner = PrefixPruner::new(model, &used)?;
         Ok(SearchCtx {
             model,
             used,
@@ -908,7 +890,6 @@ pub fn find_feasible(model: &Model, config: SearchConfig) -> Result<SearchOutcom
     find_feasible_with(
         model,
         config,
-        None,
         &mut super::compiled::CompiledChecker::new(model)?,
     )
 }
@@ -922,20 +903,16 @@ pub(crate) fn emit_search_counters(out: &SearchOutcome) {
     rtcg_obs::counter!("search.candidates_checked", out.candidates_checked);
 }
 
-/// [`find_feasible`] with an injected leaf evaluator and (optionally) a
-/// pre-instantiated pruner — the hook `rtcg-engine` uses to reuse
-/// memoized candidate latencies and deadline-refreshed bounds across
-/// edits of one model structure. With `FeasibilityCache` as the
-/// evaluator and `None` for the pruner this *is* `find_feasible`:
-/// enumeration order, budget accounting, verdicts, schedules, and
-/// counters are identical by construction.
+/// [`find_feasible`] with an injected leaf evaluator. With a fresh
+/// `CompiledChecker` this *is* `find_feasible`; with `FeasibilityCache`
+/// (the classic oracle) enumeration order, budget accounting, verdicts,
+/// schedules, and counters are identical by construction.
 pub fn find_feasible_with(
     model: &Model,
     config: SearchConfig,
-    pruner: Option<PrefixPruner>,
     eval: &mut dyn CandidateEval,
 ) -> Result<SearchOutcome, ModelError> {
-    find_feasible_with_cancel(model, config, pruner, eval, None)
+    find_feasible_with_cancel(model, config, eval, None)
 }
 
 /// [`find_feasible_with`] plus a cooperative [`CancelToken`]. When the
@@ -946,7 +923,6 @@ pub fn find_feasible_with(
 pub fn find_feasible_with_cancel(
     model: &Model,
     config: SearchConfig,
-    pruner: Option<PrefixPruner>,
     eval: &mut dyn CandidateEval,
     abort: Option<&CancelToken>,
 ) -> Result<SearchOutcome, ModelError> {
@@ -958,7 +934,7 @@ pub fn find_feasible_with_cancel(
         emit_search_counters(&out);
         return Ok(out);
     }
-    let ctx = SearchCtx::with_pruner(model, pruner)?;
+    let ctx = SearchCtx::new(model)?;
     resume_sequential(&ctx, config, ctx.start_len(), 0, eval, &mut out, abort)?;
     emit_search_counters(&out);
     Ok(out)
@@ -1279,7 +1255,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut eval = super::super::compiled::CompiledChecker::new(&m).unwrap();
-        let out = find_feasible_with_cancel(&m, cfg, None, &mut eval, Some(&token)).unwrap();
+        let out = find_feasible_with_cancel(&m, cfg, &mut eval, Some(&token)).unwrap();
         assert!(out.schedule.is_none());
         assert!(
             !out.exhausted_bound,
@@ -1301,8 +1277,7 @@ mod tests {
             let plain = find_feasible(&m, cfg).unwrap();
             let token = CancelToken::with_deadline(std::time::Duration::from_secs(600));
             let mut eval = super::super::compiled::CompiledChecker::new(&m).unwrap();
-            let with_token =
-                find_feasible_with_cancel(&m, cfg, None, &mut eval, Some(&token)).unwrap();
+            let with_token = find_feasible_with_cancel(&m, cfg, &mut eval, Some(&token)).unwrap();
             assert_eq!(plain.schedule, with_token.schedule, "{specs:?}");
             assert_eq!(
                 plain.exhausted_bound, with_token.exhausted_bound,

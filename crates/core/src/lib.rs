@@ -110,7 +110,7 @@ pub mod prelude {
     pub use crate::delta::ModelDelta;
     pub use crate::feasibility::{
         find_feasible, find_feasible_with, quick_infeasible, CandidateEval, PrefixPruner,
-        PrunerTemplate, SearchConfig, SearchOutcome,
+        SearchConfig, SearchOutcome,
     };
     pub use crate::heuristic::{synthesize, synthesize_with, SynthesisConfig, SynthesisOutcome};
     pub use crate::model::{CommGraph, ElementId, Model, ModelBuilder};

@@ -102,8 +102,8 @@ pub fn min_feasible_deadline(
 
 /// [`min_feasible_deadline`] against an arbitrary feasibility oracle:
 /// the probe models differ from `model` only in constraint `id`'s
-/// deadline, so an incremental oracle (e.g. `rtcg-engine`'s cached
-/// analysis) can reuse state across probes. The oracle must be monotone
+/// deadline, so a caching oracle (e.g. `rtcg-engine`'s result memo)
+/// answers repeated probes without re-analysis. The oracle must be monotone
 /// in the deadline for the binary search to be sound.
 pub fn min_feasible_deadline_with<E, F>(
     model: &Model,

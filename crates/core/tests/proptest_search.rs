@@ -233,7 +233,7 @@ proptest! {
         let cfg = SearchConfig { max_len, node_budget: u64::MAX / 2 };
         let comp = find_feasible(&model, cfg).unwrap();
         let mut cache = FeasibilityCache::new(&model);
-        let cached = find_feasible_with(&model, cfg, None, &mut cache).unwrap();
+        let cached = find_feasible_with(&model, cfg, &mut cache).unwrap();
         prop_assert_eq!(&comp.schedule, &cached.schedule);
         prop_assert_eq!(comp.exhausted_bound, cached.exhausted_bound);
         prop_assert_eq!(comp.nodes_visited, cached.nodes_visited);

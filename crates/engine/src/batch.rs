@@ -4,11 +4,9 @@
 //! across a worker pool. Workers claim requests off an atomic cursor —
 //! the same work-claiming idiom as
 //! [`rtcg_core::feasibility::parallel`] — and every worker analyzes
-//! through the *same* `&Engine`, so the sharded result memo and
-//! per-structure candidate memos built by one request serve all the
-//! others. That is the point: Mok-style synthesis workloads are many
-//! near-identical probes (deadline sweeps, sensitivity searches) whose
-//! leaf evaluations overlap massively.
+//! through the *same* `&Engine`, so the sharded result memo built by
+//! one request serves all the others: a question one request answered
+//! is never analyzed again.
 //!
 //! Each request can carry a wall-clock **deadline budget**
 //! ([`BatchOptions::budget_ms`]): a [`CancelToken`] with that deadline
@@ -171,8 +169,7 @@ impl Engine {
         degraded_total: &AtomicU64,
     ) -> BatchResult {
         // per-request searches run single-threaded inside the pool: the
-        // pool is the parallelism, and `threads == 1` keeps the
-        // candidate memo active (threads is fingerprint-excluded, so
+        // pool is the parallelism (threads is fingerprint-excluded, so
         // this cannot change any report).
         let req = AnalysisRequest { threads: 1, ..*req };
         let token = opts
@@ -349,7 +346,7 @@ mod tests {
 
     #[test]
     fn bad_request_degrades_that_entry_only() {
-        // second job's model overflows the memo hyperperiod: its entry
+        // second job's model overflows the joint hyperperiod: its entry
         // errors, the others still complete
         let huge = 1u64 << 33;
         let mut b = ModelBuilder::new();

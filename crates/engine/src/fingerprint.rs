@@ -1,16 +1,17 @@
 //! Content fingerprinting of models and analysis requests.
 //!
-//! The engine memoizes on two 64-bit FNV-1a fingerprints:
+//! The engine's result memo is keyed by two 64-bit FNV-1a fingerprints:
 //!
 //! * [`model_fingerprint`] covers *everything* analysis can observe —
 //!   elements (name, weight, pipelinability), channels, and constraints
 //!   including their periods and deadlines. Two models with equal
-//!   fingerprints get the same verdict, so it keys the result memo.
-//! * [`structure_fingerprint`] covers the same content *minus* periods
-//!   and deadlines. Deadline/period edits — the probes sensitivity
-//!   analysis generates — preserve it, so it keys the per-structure
-//!   session state (candidate latency memos, pruner templates) that
-//!   stays valid across such edits.
+//!   fingerprints get the same verdict.
+//! * [`request_fingerprint`] covers every request field that can change
+//!   a report.
+//!
+//! [`structure_fingerprint`] and [`sub_fingerprints`] are finer-grained
+//! prints of the same content. The engine no longer uses them; they
+//! stay public for callers that still compute them.
 //!
 //! Iteration orders are the model's own arena orders, which are
 //! deterministic and shared by equal-content models built the same way.
@@ -114,34 +115,17 @@ pub fn model_fingerprint(model: &Model) -> u64 {
 /// Fingerprint of a model's *structure*: everything except constraint
 /// periods and deadlines. Invariant under the timing edits produced by
 /// [`rtcg_core::sensitivity::with_deadline`] and
-/// [`rtcg_core::sensitivity::with_scaled_deadlines`].
+/// [`rtcg_core::sensitivity::with_scaled_deadlines`]. Not used by the
+/// engine.
 pub fn structure_fingerprint(model: &Model) -> u64 {
     let mut h = Fnv::new();
     hash_model(&mut h, model, false);
     h.finish()
 }
 
-/// Per-slice sub-fingerprints of one model, the unit of delta-aware
-/// memo invalidation (DESIGN.md §13).
-///
-/// The candidate memo ([`crate::SessionMemo`]) stores, per candidate
-/// action string, one *column* per constraint. The value in column `ix`
-/// depends on exactly two things: constraint `ix`'s task graph
-/// (operations, precedence, kind — **not** its period or deadline,
-/// which are content-addressed into the probe key instead) and the
-/// element alphabet (every id/weight/pipelinability, because candidate
-/// strings are action sequences over element ids and latency scans read
-/// weights). A delta therefore invalidates:
-///
-/// * nothing, when only [`SubFingerprints::constraints`] timing or
-///   [`SubFingerprints::regions`] (channel topology) moved;
-/// * only column `ix`, when `constraints[ix]` moved;
-/// * everything, when [`SubFingerprints::weights`] moved.
-///
-/// `regions` exists for the *result* memo: engine-level reports hash
-/// the whole model, and per-element region prints let a session name
-/// which part of the comm graph a delta touched (metrics + eviction
-/// audit) without diffing graphs structurally.
+/// Per-slice sub-fingerprints of one model: which part of the content a
+/// delta touched, without diffing models structurally. Not used by the
+/// engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubFingerprints {
     /// Per-constraint (declaration order): kind + task-graph content.
@@ -154,25 +138,6 @@ pub struct SubFingerprints {
     /// The element alphabet: every live element's id, name, weight and
     /// pipelinability. Any weight edit moves this.
     pub weights: u64,
-}
-
-impl SubFingerprints {
-    /// Indices of constraints whose sub-fingerprint differs between
-    /// `self` (old) and `new`, under `map`: `map(old_ix)` gives the new
-    /// index of old constraint `old_ix` (`None` = removed). Returns
-    /// old-side indices.
-    pub fn changed_constraints(
-        &self,
-        new: &SubFingerprints,
-        map: impl Fn(usize) -> Option<usize>,
-    ) -> Vec<usize> {
-        (0..self.constraints.len())
-            .filter(|&ix| match map(ix) {
-                Some(nix) => new.constraints.get(nix) != Some(&self.constraints[ix]),
-                None => true,
-            })
-            .collect()
-    }
 }
 
 /// Computes all sub-fingerprints of `model` in one pass.
@@ -321,10 +286,6 @@ mod tests {
         let sub = sub_fingerprints(&popped);
         assert_eq!(&base.constraints[1..], &sub.constraints[..]);
         assert_eq!(base.weights, sub.weights);
-        assert_eq!(
-            base.changed_constraints(&sub, |ix| ix.checked_sub(1)),
-            vec![0]
-        );
     }
 
     #[test]

@@ -1,59 +1,46 @@
-//! # rtcg-engine — incremental analysis across model edits
+//! # rtcg-engine — cached analysis across model edits
 //!
 //! One front door for feasibility analysis and schedule synthesis:
 //! callers describe *what* they want with an [`AnalysisRequest`] and the
-//! [`Engine`] decides how much of the answer it already knows.
+//! [`Engine`] answers it, from memory when it has answered it before.
 //!
-//! Three layers of reuse, coarsest first:
+//! One layer of reuse, the **result memo**: verdicts and schedules
+//! keyed by `(model fingerprint, request fingerprint)`. An identical
+//! question about identical content returns the stored
+//! [`AnalysisReport`] without any analysis. Everything else runs cold:
+//! every exact query — [`Engine::analyze`], sessions, batches and
+//! sensitivity sweeps alike — is the plain compiled search
+//! (`find_feasible_with_cancel` over a fresh `CompiledChecker` at
+//! `threads ≤ 1`, `find_feasible_parallel_with_cancel` above that).
 //!
-//! 1. **Result memo** — verdicts and schedules keyed by
-//!    `(model fingerprint, request fingerprint)`. An identical question
-//!    about identical content returns the stored [`AnalysisReport`]
-//!    without any analysis.
-//! 2. **Session state** — per *structure* fingerprint (content minus
-//!    periods and deadlines) the engine keeps a
-//!    [`PrunerTemplate`](rtcg_core::feasibility::PrunerTemplate) — the
-//!    deadline-independent part of the exact search's prefix bounds —
-//!    and re-instantiates it per probe instead of re-deriving downstream
-//!    work sums from scratch.
-//! 3. **Candidate memo** — per structure, every candidate action string
-//!    the exact search ever leaf-evaluated keeps its per-constraint
-//!    latencies and periodic window scans ([`memo::SessionMemo`]). A
-//!    deadline probe over the same structure re-derives verdicts from
-//!    those numbers with integer compares instead of trace expansion.
-//!
-//! Everything the engine returns is **bit-identical** to the
+//! Everything the engine returns is therefore **bit-identical** to the
 //! corresponding cold call (`heuristic::synthesize_with`,
-//! `latency_synthesize_with`, `find_feasible`/`find_feasible_parallel`):
-//! the memoized evaluator reproduces `FeasibilityCache` verdicts
-//! exactly, and the search enumeration (including budget accounting) is
-//! unchanged. The differential tests pin this.
+//! `latency_synthesize_with`, `find_feasible`/`find_feasible_parallel`).
+//! The differential tests pin this.
 //!
 //! Sensitivity analysis and fault margins are re-exposed as engine
-//! methods so their probe loops route through the cache — that is where
-//! the leaf-evaluation savings (`engine.leaf_evals_saved`) come from.
+//! methods so their probe loops route through the result memo: a probe
+//! that repeats an earlier question is answered without a search.
 
 #![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod fingerprint;
-pub mod memo;
 pub mod session;
 pub mod snapshot;
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use rtcg_core::feasibility::{
     find_feasible_lanes, find_feasible_parallel_with_cancel, find_feasible_with_cancel,
-    quick_infeasible, synthesize_lanes, used_elements, CancelToken, LaneSchedule, PrunerTemplate,
-    SearchConfig,
+    quick_infeasible, synthesize_lanes, CancelToken, CompiledChecker, LaneSchedule, SearchConfig,
 };
 use rtcg_core::heuristic::{synthesize_with, SynthesisConfig};
-use rtcg_core::model::{ElementId, Model};
+use rtcg_core::model::Model;
 use rtcg_core::sensitivity::{
     deadline_sensitivities_with, max_uniform_tightening_with, min_feasible_deadline_with,
     DeadlineSensitivity,
@@ -63,9 +50,7 @@ use rtcg_sim::error::SimError;
 use rtcg_synth::error::SynthError;
 use rtcg_synth::latency::latency_synthesize_with;
 
-use fingerprint::{model_fingerprint, request_fingerprint, structure_fingerprint};
-use memo::{MemoEval, SessionMemo};
-use session::ResidentMut;
+use fingerprint::{model_fingerprint, request_fingerprint};
 
 pub use session::{ConstraintSelection, DeltaOutcome, EngineOptions, Query, SessionStats};
 pub use snapshot::{LoadStats, SaveStats, SnapshotError, SnapshotTotals};
@@ -97,10 +82,10 @@ pub struct AnalysisRequest {
     pub synthesis: SynthesisConfig,
     /// Knobs for the exact search (used by `Exact`).
     pub search: SearchConfig,
-    /// Worker threads for the exact search. Excluded from the request
-    /// fingerprint: the parallel search replays the sequential one bit
-    /// for bit. `threads ≤ 1` enables the candidate memo (the parallel
-    /// path shards its own evaluators).
+    /// Worker threads for the exact search: `threads ≤ 1` runs the
+    /// sequential compiled search, more runs the parallel one. Excluded
+    /// from the request fingerprint: the parallel search replays the
+    /// sequential one bit for bit.
     pub threads: usize,
     /// Processor lanes. `1` (the default) is the paper's single-
     /// processor analysis, bit-identical to every pre-lane release.
@@ -274,13 +259,12 @@ pub struct EngineStats {
     pub hits: u64,
     /// Result-memo misses (analysis actually ran).
     pub misses: u64,
-    /// Leaf evaluations served entirely from candidate memos.
+    /// Always 0: the engine keeps no candidate memo. Kept so callers
+    /// that still read it compile.
     pub leaf_evals_saved: u64,
-    /// Leaf evaluations that needed fresh latency/window computation.
+    /// Always 0; see [`EngineStats::leaf_evals_saved`].
     pub leaf_evals_computed: u64,
-    /// Distinct model structures with live session state.
-    pub sessions: u64,
-    /// Candidate strings memoized across all sessions.
+    /// Always 0; see [`EngineStats::leaf_evals_saved`].
     pub memo_candidates: u64,
     /// Snapshot persistence counters (see [`snapshot`]).
     pub snapshot: SnapshotTotals,
@@ -353,19 +337,7 @@ const SHARD_POISON: [&str; SHARDS] = shard_names!("poison_recoveries");
 const SHARD_EVICTIONS: [&str; SHARDS] = shard_names!("evictions");
 const SHARD_OCCUPANCY: [&str; SHARDS] = shard_names!("occupancy");
 
-/// Per-structure incremental state: the deadline-independent pruner
-/// template plus every candidate the search has ever leaf-evaluated.
-struct Session {
-    memo: SessionMemo,
-    template: PrunerTemplate,
-    used: Vec<ElementId>,
-    /// A representative model of this structure (the first one seen).
-    /// The memo's keys carry no model, so snapshot save re-derives the
-    /// structure's content from this instance.
-    model: Model,
-}
-
-/// Shard count for the result memo and session maps. A power of two so
+/// Shard count for the result memo. A power of two so
 /// shard selection is a mask of the fingerprint's low bits; 16 shards
 /// keep contention negligible at any realistic worker count without
 /// noticeable memory overhead.
@@ -383,22 +355,17 @@ fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The cached incremental analysis engine. See the module docs for the
-/// three reuse layers; construction is free, all caching is lazy.
+/// The cached analysis engine. See the module docs for its one reuse
+/// layer, the result memo; construction is free, all caching is lazy.
 ///
 /// All methods take `&self`: internal state is sharded and lock-striped
 /// (fingerprint-selected shards, one `RwLock`/`Mutex` per shard, atomic
 /// counters), so one engine can serve concurrent callers — the
 /// [`batch`] worker pool fans requests across threads against a shared
-/// `&Engine` and every thread reads and extends the same caches.
+/// `&Engine` and every thread reads and extends the same memo.
 pub struct Engine {
     /// Result memo: `(model fp, request fp)` → report, lock-striped.
     results: Vec<RwLock<HashMap<(u64, u64), AnalysisReport>>>,
-    /// Session map: structure fp → shared session. The outer mutex only
-    /// guards the map; each session has its own lock, held for the
-    /// duration of one exact search so same-structure probes serialize
-    /// on *their* session while other structures proceed in parallel.
-    sessions: Vec<Mutex<HashMap<u64, Arc<Mutex<Session>>>>>,
     /// Subject-model registry for snapshot save: model fp → model,
     /// sharded like `results` (a fingerprint is one-way, so the memo's
     /// keys alone cannot be re-derived into content-addressed sections).
@@ -410,8 +377,6 @@ pub struct Engine {
     pub(crate) snap: snapshot::SnapCounters,
     hits: AtomicU64,
     misses: AtomicU64,
-    leaf_evals_saved: AtomicU64,
-    leaf_evals_computed: AtomicU64,
     shard_counters: [ShardCounters; SHARDS],
     /// Sessions currently open against this engine (see
     /// [`Engine::open_session`]); feeds the
@@ -423,14 +388,11 @@ impl Default for Engine {
     fn default() -> Self {
         Engine {
             results: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            sessions: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             models: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             requests: Mutex::new(HashMap::new()),
             snap: snapshot::SnapCounters::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            leaf_evals_saved: AtomicU64::new(0),
-            leaf_evals_computed: AtomicU64::new(0),
             shard_counters: std::array::from_fn(|_| ShardCounters::default()),
             open_sessions: AtomicU64::new(0),
         }
@@ -444,18 +406,8 @@ impl Engine {
     }
 
     /// Current cache counters. Counter reads are relaxed snapshots; the
-    /// structural counts briefly lock each shard, so calling this while
-    /// a batch is in flight waits for in-progress searches.
+    /// occupancy counts briefly read-lock each result shard.
     pub fn stats(&self) -> EngineStats {
-        let mut sessions = 0u64;
-        let mut memo_candidates = 0u64;
-        for shard in &self.sessions {
-            let map = unpoison(shard.lock());
-            sessions += map.len() as u64;
-            for s in map.values() {
-                memo_candidates += unpoison(s.lock()).memo.len() as u64;
-            }
-        }
         let shards = std::array::from_fn(|ix| ShardStats {
             hits: self.shard_counters[ix].hits.load(Ordering::Relaxed),
             misses: self.shard_counters[ix].misses.load(Ordering::Relaxed),
@@ -469,10 +421,9 @@ impl Engine {
         EngineStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            leaf_evals_saved: self.leaf_evals_saved.load(Ordering::Relaxed),
-            leaf_evals_computed: self.leaf_evals_computed.load(Ordering::Relaxed),
-            sessions,
-            memo_candidates,
+            leaf_evals_saved: 0,
+            leaf_evals_computed: 0,
+            memo_candidates: 0,
             snapshot: self.snap.totals(),
             shards,
         }
@@ -536,7 +487,7 @@ impl Engine {
         } else {
             None
         };
-        let result = self.run_query(model, req, cancel, None);
+        let result = self.run_query(model, req, cancel);
         if let Some(t0) = t0 {
             rtcg_obs::histogram!("engine.request_us", t0.elapsed().as_micros() as u64);
             // cancel-to-stop: how long after the token fired this
@@ -555,16 +506,11 @@ impl Engine {
 
     /// The one canonical query path every public entry point funnels
     /// into: result-memo lookup, mode dispatch, insert-unless-cancelled.
-    /// `resident` is a session's lent state — when present, the exact
-    /// search uses it instead of the engine's shared per-structure map,
-    /// so the session's memo columns stay aligned with its own
-    /// constraint numbering across deltas.
     pub(crate) fn run_query(
         &self,
         model: &Model,
         req: &AnalysisRequest,
         cancel: Option<&CancelToken>,
-        resident: Option<ResidentMut<'_>>,
     ) -> Result<AnalysisReport, EngineError> {
         model.validate().map_err(EngineError::from)?;
         if req.lanes == 0 {
@@ -590,13 +536,13 @@ impl Engine {
         let report = if req.lanes > 1 {
             // the m-lane pipeline replaces mode dispatch: candidates
             // are lane matrices, not strings, so none of the scalar
-            // strategies or memo layers apply
+            // strategies apply
             self.run_lanes(model, req)?
         } else {
             match req.mode {
                 AnalysisMode::Heuristic => self.run_heuristic(model, req)?,
                 AnalysisMode::Merged => self.run_merged(model, req)?,
-                AnalysisMode::Exact => self.run_exact(model, req, cancel, resident)?,
+                AnalysisMode::Exact => self.run_exact(model, req, cancel)?,
             }
         };
         // a cancelled run's report is partial — never cache it (poll
@@ -720,33 +666,12 @@ impl Engine {
         evicted
     }
 
-    /// Finds or creates the shared session for `model`'s structure. The
-    /// returned `Arc` is cloned out of the shard map, so the map lock is
-    /// held only for the lookup, not for the search.
-    fn session_for(&self, model: &Model, sf: u64) -> Result<Arc<Mutex<Session>>, EngineError> {
-        let mut map = unpoison(self.sessions[shard_of(sf)].lock());
-        if let Some(s) = map.get(&sf) {
-            return Ok(Arc::clone(s));
-        }
-        let used = used_elements(model);
-        let template = PrunerTemplate::new(model, &used).map_err(EngineError::from)?;
-        let session = Arc::new(Mutex::new(Session {
-            memo: SessionMemo::default(),
-            template,
-            used,
-            model: model.clone(),
-        }));
-        map.insert(sf, Arc::clone(&session));
-        Ok(session)
-    }
-
     /// The m-lane pipeline (`req.lanes > 1`). `Heuristic` runs the
     /// list-scheduling synthesis only; `Exact` runs the canonical
     /// branch-and-bound only; `Merged` tries the cheap synthesis first
-    /// and falls back to the exact search. The scalar candidate memo
-    /// and session state do not apply — lane candidates are matrices —
-    /// but the result memo in [`Engine::run_query`] covers lane reports
-    /// (the lane count is part of the request fingerprint).
+    /// and falls back to the exact search. The result memo in
+    /// [`Engine::run_query`] covers lane reports (the lane count is part
+    /// of the request fingerprint).
     fn run_lanes(
         &self,
         model: &Model,
@@ -812,75 +737,22 @@ impl Engine {
         Ok(report(verdict, Some(stats)))
     }
 
-    /// Runs one exact search over the given memo + template, recording
-    /// leaf-eval savings. Shared by the engine's per-structure sessions
-    /// and the lent state of long-lived [`session::Session`]s.
-    fn search_with_memo(
-        &self,
-        model: &Model,
-        req: &AnalysisRequest,
-        cancel: Option<&CancelToken>,
-        template: &PrunerTemplate,
-        memo: &mut SessionMemo,
-    ) -> Result<rtcg_core::feasibility::SearchOutcome, EngineError> {
-        let pruner = template.instantiate(model);
-        let mut eval = MemoEval::new(model, memo).map_err(EngineError::from)?;
-        let outcome = find_feasible_with_cancel(model, req.search, Some(pruner), &mut eval, cancel)
-            .map_err(EngineError::from)?;
-        self.leaf_evals_saved
-            .fetch_add(eval.evals_saved, Ordering::Relaxed);
-        self.leaf_evals_computed
-            .fetch_add(eval.evals_computed, Ordering::Relaxed);
-        rtcg_obs::counter!("engine.leaf_evals_saved", eval.evals_saved);
-        rtcg_obs::counter!("engine.leaf_evals_computed", eval.evals_computed);
-        Ok(outcome)
-    }
-
+    /// The plain compiled exact search; the parallel search (replay-
+    /// identical to it) when `threads > 1`.
     fn run_exact(
         &self,
         model: &Model,
         req: &AnalysisRequest,
         cancel: Option<&CancelToken>,
-        resident: Option<ResidentMut<'_>>,
     ) -> Result<AnalysisReport, EngineError> {
         let outcome = if req.threads > 1 {
-            // the parallel search shards per-worker FeasibilityCaches;
-            // results are replay-identical to the sequential path, so
-            // the result memo still applies — only the candidate memo
-            // does not.
             find_feasible_parallel_with_cancel(model, req.search, req.threads, cancel)
-                .map_err(EngineError::from)?
-        } else if let Some(resident) = resident {
-            // a session lent its state: build its template lazily, keep
-            // its memo (delta invalidation already pruned stale slices)
-            if resident.exact.is_none() {
-                let used = used_elements(model);
-                let template = PrunerTemplate::new(model, &used).map_err(EngineError::from)?;
-                *resident.exact = Some((template, used));
-            }
-            let (template, used) = resident.exact.as_ref().expect("just built");
-            debug_assert_eq!(
-                *used,
-                used_elements(model),
-                "session exact state out of sync with its model"
-            );
-            self.search_with_memo(model, req, cancel, template, resident.memo)?
         } else {
-            let sf = structure_fingerprint(model);
-            let session = self.session_for(model, sf)?;
-            let mut session: MutexGuard<'_, Session> = unpoison(session.lock());
-            debug_assert_eq!(
-                session.used,
-                used_elements(model),
-                "structure fingerprint collision: alphabets differ"
-            );
-            let Session {
-                ref mut memo,
-                ref template,
-                ..
-            } = *session;
-            self.search_with_memo(model, req, cancel, template, memo)?
-        };
+            CompiledChecker::new(model).and_then(|mut eval| {
+                find_feasible_with_cancel(model, req.search, &mut eval, cancel)
+            })
+        }
+        .map_err(EngineError::from)?;
 
         let stats = SearchStats {
             nodes_visited: outcome.nodes_visited,
@@ -915,9 +787,7 @@ impl Engine {
     }
 
     /// Minimum feasible deadline of one constraint, binary-searched with
-    /// every probe routed through the cache. Probes share this engine's
-    /// session for the model's structure, so repeated candidate
-    /// evaluations are memo-served.
+    /// every probe routed through the result memo.
     pub fn min_feasible_deadline(
         &self,
         model: &Model,

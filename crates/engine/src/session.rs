@@ -1,54 +1,41 @@
-//! Long-lived analysis sessions: a resident model, a delta journal, and
-//! delta-aware invalidation of the engine's memo layers.
+//! Long-lived analysis sessions: a resident model and a delta journal.
 //!
 //! A [`Session`] is the unit of interactive analysis (DESIGN.md §13).
-//! It owns a resident [`Model`] plus the per-structure incremental
-//! state the engine otherwise keeps in its shared session map — the
-//! candidate memo and the pruner template — and keeps both **hot across
-//! model edits** instead of abandoning them whenever the structure
-//! fingerprint moves:
+//! It owns a resident [`Model`]:
 //!
 //! * [`Session::apply`] applies one [`ModelDelta`], records
-//!   `(delta, inverse)` in the journal, and invalidates exactly the
-//!   memo slices whose [`SubFingerprints`] moved: nothing for a
-//!   deadline/period retune or channel splice, one constraint column
-//!   for a task-graph change, everything for a weight/alphabet change.
-//!   Result-memo entries for the superseded model fingerprint are
-//!   evicted from their shard (counted in
-//!   [`crate::ShardStats::evictions`]).
+//!   `(delta, inverse)` in the journal, and evicts the result-memo
+//!   entries of the superseded model fingerprint from their shard
+//!   (counted in [`crate::ShardStats::evictions`]).
 //! * [`Session::analyze`] answers a [`Query`] through the engine's one
-//!   canonical path, lending its resident state; reports are
-//!   bit-identical to a cold [`crate::analyze_once`] of the same model
-//!   (the differential tests pin this).
+//!   canonical path; reports are bit-identical to a cold
+//!   [`crate::analyze_once`] of the same model (the differential tests
+//!   pin this).
 //! * [`Session::undo`] pops the journal and applies the recorded
-//!   inverse through the same invalidation machinery, restoring the
-//!   previous model content.
+//!   inverse the same way, restoring the previous model content.
 //!
 //! Sessions borrow the [`Engine`]: every session shares the engine's
-//! result memo (cross-session reuse), while candidate memos stay
-//! per-session so their column indices track each session's own
-//! constraint numbering through deltas.
+//! result memo (cross-session reuse), which is the engine's only cache.
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use rtcg_core::delta::ModelDelta;
-use rtcg_core::feasibility::{CancelToken, PrunerTemplate, SearchConfig};
+use rtcg_core::feasibility::{CancelToken, SearchConfig};
 use rtcg_core::heuristic::SynthesisConfig;
-use rtcg_core::model::{ElementId, Model};
+use rtcg_core::model::Model;
 use rtcg_core::ConstraintId;
 
-use crate::fingerprint::{model_fingerprint, sub_fingerprints, SubFingerprints};
-use crate::memo::SessionMemo;
+use crate::fingerprint::model_fingerprint;
 use crate::{AnalysisMode, AnalysisReport, AnalysisRequest, Engine, EngineError};
 
 /// Session-level engine options — knobs that outlive any single query.
 /// The per-query half of the old `AnalysisRequest` lives in [`Query`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// Worker threads for the exact search. `threads ≤ 1` keeps the
-    /// candidate memo engaged (the parallel path shards its own
-    /// evaluators and is replay-identical, so verdicts never differ).
+    /// Worker threads for the exact search: `threads ≤ 1` runs the
+    /// sequential compiled search, more runs the parallel one, which is
+    /// replay-identical, so verdicts never differ.
     pub threads: usize,
     /// Wall-clock budget per analyze call, in milliseconds. A run whose
     /// budget fires returns its partial outcome (`Unknown` unless the
@@ -149,21 +136,15 @@ impl AnalysisRequest {
     }
 }
 
-/// What [`Session::apply`] did to the caches, for telemetry and tests.
+/// What [`Session::apply`] did to the result memo, for telemetry and
+/// tests.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaOutcome {
     /// The delta's [`ModelDelta::kind`] tag.
     pub kind: &'static str,
-    /// Candidate-memo `(candidate, constraint-slice)` entries evicted.
-    pub slices_evicted: u64,
-    /// Candidate-memo entries that survived the delta.
-    pub slices_kept: u64,
     /// Result-memo reports evicted (the superseded model fingerprint's
     /// shard slice).
     pub results_evicted: u64,
-    /// True when the whole candidate memo had to go (weight/alphabet
-    /// change).
-    pub full_invalidation: bool,
 }
 
 /// Cumulative per-session counters; see [`Session::stats`].
@@ -175,15 +156,14 @@ pub struct SessionStats {
     pub journal_len: usize,
     /// Analyze calls answered.
     pub analyses: u64,
-    /// Candidate strings currently memoized.
+    /// Always 0: sessions keep no candidate memo. Kept so callers that
+    /// still read it compile.
     pub memo_candidates: u64,
-    /// `(candidate, constraint-slice)` entries currently memoized.
-    pub memo_entries: u64,
-    /// Candidate-memo entries evicted by deltas, cumulative.
+    /// Always 0; see [`SessionStats::memo_candidates`].
     pub slices_evicted: u64,
     /// Result-memo reports evicted by deltas, cumulative.
     pub results_evicted: u64,
-    /// Deltas that cleared the whole candidate memo.
+    /// Always 0; see [`SessionStats::memo_candidates`].
     pub full_invalidations: u64,
 }
 
@@ -199,29 +179,15 @@ pub struct Session<'e> {
     options: EngineOptions,
     model: Model,
     model_fp: u64,
-    sub: SubFingerprints,
-    memo: SessionMemo,
-    /// Lazily built exact-search state (template + used alphabet);
-    /// dropped whenever a delta moves the constraint shape or weights.
-    exact: Option<(PrunerTemplate, Vec<ElementId>)>,
     journal: Vec<JournalRecord>,
     deltas_applied: u64,
     analyses: u64,
-    slices_evicted: u64,
     results_evicted: u64,
-    full_invalidations: u64,
-}
-
-/// The session state [`Engine`]'s canonical query path borrows for one
-/// analyze call (crate-internal plumbing).
-pub(crate) struct ResidentMut<'a> {
-    pub(crate) memo: &'a mut SessionMemo,
-    pub(crate) exact: &'a mut Option<(PrunerTemplate, Vec<ElementId>)>,
 }
 
 impl Engine {
     /// Opens a session owning `model` with default options. The model
-    /// is validated here; all incremental state builds lazily.
+    /// is validated here.
     pub fn open_session(&self, model: Model) -> Result<Session<'_>, EngineError> {
         self.open_session_with(model, EngineOptions::default())
     }
@@ -234,7 +200,6 @@ impl Engine {
     ) -> Result<Session<'_>, EngineError> {
         model.validate().map_err(EngineError::from)?;
         let model_fp = model_fingerprint(&model);
-        let sub = sub_fingerprints(&model);
         self.open_sessions.fetch_add(1, Ordering::Relaxed);
         rtcg_obs::gauge!(
             "engine.session.resident_models",
@@ -245,15 +210,10 @@ impl Engine {
             options,
             model,
             model_fp,
-            sub,
-            memo: SessionMemo::default(),
-            exact: None,
             journal: Vec::new(),
             deltas_applied: 0,
             analyses: 0,
-            slices_evicted: 0,
             results_evicted: 0,
-            full_invalidations: 0,
         })
     }
 }
@@ -279,17 +239,6 @@ impl<'e> Session<'e> {
         self.engine
     }
 
-    /// Snapshot plumbing: the resident candidate memo, whose columns
-    /// track this session's *current* constraint numbering.
-    pub(crate) fn resident_memo(&self) -> &SessionMemo {
-        &self.memo
-    }
-
-    /// Snapshot plumbing: mutable view for merge-on-restore.
-    pub(crate) fn resident_memo_mut(&mut self) -> &mut SessionMemo {
-        &mut self.memo
-    }
-
     /// Session-level options (mutable: retune threads/budget mid-flight
     /// — neither affects verdicts, so no invalidation is needed).
     pub fn options_mut(&mut self) -> &mut EngineOptions {
@@ -307,8 +256,8 @@ impl<'e> Session<'e> {
     }
 
     /// Applies one delta to the resident model: journal it, move the
-    /// fingerprints, and invalidate exactly the memo slices the delta's
-    /// sub-fingerprint diff names. Errors leave the session untouched.
+    /// fingerprint, and evict the superseded model's result-memo
+    /// entries. Errors leave the session untouched.
     pub fn apply(&mut self, delta: &ModelDelta) -> Result<DeltaOutcome, EngineError> {
         let inverse = delta.invert(&self.model).map_err(EngineError::from)?;
         let outcome = self.shift(delta)?;
@@ -320,8 +269,8 @@ impl<'e> Session<'e> {
     }
 
     /// Undoes the most recent journaled delta by applying its recorded
-    /// inverse (through the same invalidation machinery). Returns the
-    /// undone delta, or `None` on an empty journal.
+    /// inverse (with the same result-memo eviction). Returns the undone
+    /// delta, or `None` on an empty journal.
     pub fn undo(&mut self) -> Result<Option<ModelDelta>, EngineError> {
         let Some(rec) = self.journal.pop() else {
             return Ok(None);
@@ -339,86 +288,27 @@ impl<'e> Session<'e> {
     }
 
     /// Shared delta machinery for [`Session::apply`] and
-    /// [`Session::undo`]: rebuild the model, diff sub-fingerprints,
-    /// invalidate.
+    /// [`Session::undo`]: rebuild the model and evict the superseded
+    /// model's result-memo slice — the session will never ask about that
+    /// content again, and bounded shard occupancy is part of the
+    /// resident-daemon contract.
     fn shift(&mut self, delta: &ModelDelta) -> Result<DeltaOutcome, EngineError> {
         let new_model = delta.apply(&self.model).map_err(EngineError::from)?;
-        let new_sub = sub_fingerprints(&new_model);
-
-        // old constraint index → new index, from the delta's own shape
-        let map = |ix: usize| -> Option<usize> {
-            match delta {
-                ModelDelta::AddConstraint { at, .. } => Some(if ix >= *at { ix + 1 } else { ix }),
-                ModelDelta::RemoveConstraint { at } => match ix.cmp(at) {
-                    std::cmp::Ordering::Less => Some(ix),
-                    std::cmp::Ordering::Equal => None,
-                    std::cmp::Ordering::Greater => Some(ix - 1),
-                },
-                _ => Some(ix),
-            }
-        };
-
-        let before = self.memo.entry_count();
-        let full = new_sub.weights != self.sub.weights;
-        let slices_evicted = if full {
-            // candidate strings are action sequences over element ids
-            // and every latency scan read weights: nothing survives
-            self.memo.clear()
-        } else {
-            let changed = self.sub.changed_constraints(&new_sub, map);
-            if changed.is_empty()
-                && matches!(
-                    delta,
-                    ModelDelta::SetDeadline { .. }
-                        | ModelDelta::SetPeriod { .. }
-                        | ModelDelta::AddChannel { .. }
-                        | ModelDelta::RemoveChannel { .. }
-                )
-            {
-                0 // timing retunes and channel splices touch no column
-            } else {
-                self.memo
-                    .remap_constraints(|ix| if changed.contains(&ix) { None } else { map(ix) })
-            }
-        };
-        // the pruner template reads weights and async task graphs; keep
-        // it only when neither moved (timing/channel deltas)
-        if full || new_sub.constraints != self.sub.constraints {
-            self.exact = None;
-        }
-
-        // evict the superseded model's result-memo slice: the session
-        // will never ask about that content again, and bounded shard
-        // occupancy is part of the resident-daemon contract
         let results_evicted = self.engine.evict_results(self.model_fp);
-
         self.model_fp = model_fingerprint(&new_model);
-        self.sub = new_sub;
         self.model = new_model;
         self.deltas_applied += 1;
-        self.slices_evicted += slices_evicted;
         self.results_evicted += results_evicted;
-        self.full_invalidations += full as u64;
-
         rtcg_obs::counter!("engine.session.deltas_applied");
-        rtcg_obs::counter!("engine.session.slices_evicted", slices_evicted);
-        if let Some(pct) = (slices_evicted * 100).checked_div(before) {
-            rtcg_obs::gauge!("engine.session.invalidation_pct", pct);
-        }
-
         Ok(DeltaOutcome {
             kind: delta.kind(),
-            slices_evicted,
-            slices_kept: before - slices_evicted,
             results_evicted,
-            full_invalidation: full,
         })
     }
 
     /// Answers a query about the resident model through the engine's
-    /// canonical path, lending this session's memo and template. The
-    /// report is bit-identical to a cold [`crate::analyze_once`] of the
-    /// same model and query.
+    /// canonical path. The report is bit-identical to a cold
+    /// [`crate::analyze_once`] of the same model and query.
     pub fn analyze(&mut self, query: &Query) -> Result<AnalysisReport, EngineError> {
         self.analyses += 1;
         let req = AnalysisRequest::from_parts(query, &self.options);
@@ -427,21 +317,10 @@ impl<'e> Session<'e> {
             .budget_ms
             .map(|ms| CancelToken::with_deadline(Duration::from_millis(ms)));
         match &query.selection {
-            ConstraintSelection::All => {
-                let resident = ResidentMut {
-                    memo: &mut self.memo,
-                    exact: &mut self.exact,
-                };
-                self.engine
-                    .run_query(&self.model, &req, token.as_ref(), Some(resident))
-            }
+            ConstraintSelection::All => self.engine.run_query(&self.model, &req, token.as_ref()),
             ConstraintSelection::Only(ids) => {
-                // the restriction is its own model with its own
-                // constraint numbering; route it through the engine's
-                // shared path rather than remap this session's columns
                 let restricted = restrict(&self.model, ids)?;
-                self.engine
-                    .run_query(&restricted, &req, token.as_ref(), None)
+                self.engine.run_query(&restricted, &req, token.as_ref())
             }
         }
     }
@@ -452,18 +331,11 @@ impl<'e> Session<'e> {
             deltas_applied: self.deltas_applied,
             journal_len: self.journal.len(),
             analyses: self.analyses,
-            memo_candidates: self.memo.len() as u64,
-            memo_entries: self.memo.entry_count(),
-            slices_evicted: self.slices_evicted,
+            memo_candidates: 0,
+            slices_evicted: 0,
             results_evicted: self.results_evicted,
-            full_invalidations: self.full_invalidations,
+            full_invalidations: 0,
         }
-    }
-
-    /// Entries currently memoized for constraint column `ix` (eviction
-    /// audits; see [`SessionMemo::column_entries`]).
-    pub fn memo_column_entries(&self, ix: usize) -> u64 {
-        self.memo.column_entries(ix)
     }
 }
 
@@ -522,62 +394,6 @@ mod tests {
             },
             ..Query::exact()
         }
-    }
-
-    #[test]
-    fn deadline_retune_keeps_every_slice() {
-        let engine = Engine::new();
-        let mut s = engine.open_session(chain_model(7, 5)).unwrap();
-        let q = exact_query();
-        s.analyze(&q).unwrap();
-        let entries = s.stats().memo_entries;
-        assert!(entries > 0);
-        let out = s
-            .apply(&ModelDelta::SetDeadline {
-                constraint: ConstraintId::new(0),
-                deadline: 6,
-            })
-            .unwrap();
-        assert_eq!(out.slices_evicted, 0);
-        assert_eq!(out.slices_kept, entries);
-        assert!(!out.full_invalidation);
-        // the retuned analysis is memo-served at the leaf level
-        let before = engine.stats();
-        s.analyze(&q).unwrap();
-        let after = engine.stats();
-        assert!(
-            after.leaf_evals_saved > before.leaf_evals_saved,
-            "retune probe should hit the candidate memo"
-        );
-    }
-
-    #[test]
-    fn weight_edit_clears_everything() {
-        let engine = Engine::new();
-        let mut s = engine.open_session(chain_model(7, 5)).unwrap();
-        s.analyze(&exact_query()).unwrap();
-        assert!(s.stats().memo_entries > 0);
-        let out = s
-            .apply(&ModelDelta::SetWcet {
-                element: "fx".into(),
-                wcet: 2,
-            })
-            .unwrap();
-        assert!(out.full_invalidation);
-        assert_eq!(s.stats().memo_entries, 0);
-    }
-
-    #[test]
-    fn constraint_removal_evicts_only_its_column() {
-        let engine = Engine::new();
-        let mut s = engine.open_session(chain_model(7, 5)).unwrap();
-        s.analyze(&exact_query()).unwrap();
-        let col0 = s.memo_column_entries(0);
-        let col1 = s.memo_column_entries(1);
-        assert!(col0 > 0 && col1 > 0);
-        let out = s.apply(&ModelDelta::RemoveConstraint { at: 0 }).unwrap();
-        assert_eq!(out.slices_evicted, col0, "only the chain column goes");
-        assert_eq!(s.memo_column_entries(0), col1, "beat column shifted down");
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Persistent memo snapshots — cold-start elimination for the engine's
-//! result and candidate memos (DESIGN.md §14).
+//! result memo (DESIGN.md §14).
 //!
 //! Everything the engine memoizes lives in RAM, so every process
-//! restart pays the full cold-start tax. This module serializes both
-//! memo layers into a versioned, length-prefixed binary file and merges
-//! a file back into a *live* engine without `&mut self`:
-//!
-//! * **Result sections** — one per subject model: the model itself
-//!   (binary-encoded), its [`Model::content_digest`], and every
-//!   `(request, report)` pair the result memo holds for it.
-//! * **Candidate sections** — one per model structure: a representative
-//!   model plus the structure's [`SessionMemo`] (candidate action
-//!   strings with their per-constraint latencies and window scans).
+//! restart pays the full cold-start tax. This module serializes the
+//! result memo into a versioned, length-prefixed binary file and merges
+//! a file back into a *live* engine without `&mut self`. The file holds
+//! one **result section** per subject model: the model itself
+//! (binary-encoded), its [`Model::content_digest`], and every
+//! `(request, report)` pair the result memo holds for it. Files written
+//! before the candidate memo was retired also carry kind-2 candidate
+//! sections; loads skip those, counted like any unknown section kind.
 //!
 //! **Nothing in the file is trusted as a key.** Fingerprints are
 //! recomputed from the decoded models on load; the stored digest only
@@ -43,10 +41,7 @@ use rtcg_core::schedule::Action;
 use rtcg_core::task::TaskGraphBuilder;
 use rtcg_core::StaticSchedule;
 
-use crate::fingerprint::{
-    model_fingerprint, request_fingerprint, structure_fingerprint, FP_SCHEMA_VERSION,
-};
-use crate::memo::{CandidateMemo, SessionMemo};
+use crate::fingerprint::{model_fingerprint, request_fingerprint, FP_SCHEMA_VERSION};
 use crate::session::Session;
 use crate::{
     shard_of, unpoison, AnalysisMode, AnalysisReport, AnalysisRequest, Engine, SearchStats,
@@ -62,8 +57,9 @@ pub const MAGIC: [u8; 8] = *b"RTCGSNAP";
 /// verdict (tag 3).
 pub const FORMAT_VERSION: u32 = 2;
 
+/// The one section kind written. Kind 2 was the retired candidate
+/// section; loads skip it like any other unknown kind.
 const SECTION_RESULTS: u8 = 1;
-const SECTION_CANDIDATES: u8 = 2;
 
 /// The closed set of strategy tags a report can carry. Verdicts hold
 /// `&'static str` strategies, so decoding interns against this table;
@@ -132,8 +128,6 @@ pub struct SaveStats {
     pub sections: u64,
     /// `(request, report)` pairs written across result sections.
     pub result_entries: u64,
-    /// Candidate strings written across candidate sections.
-    pub candidate_entries: u64,
     /// Encoded size in bytes.
     pub bytes: u64,
 }
@@ -144,14 +138,13 @@ pub struct LoadStats {
     /// Sections decoded, digest-verified, and merged.
     pub sections_loaded: u64,
     /// Sections skipped whole: digest mismatch, invalid model, unknown
-    /// fingerprint schema, or unknown section kind.
+    /// fingerprint schema, or unknown section kind (including the
+    /// retired kind-2 candidate sections of older files).
     pub sections_skipped: u64,
     /// Reports inserted into the result memo.
     pub results_inserted: u64,
     /// Reports already present (live entry won).
     pub results_present: u64,
-    /// Candidate strings merged into session memos.
-    pub candidates_merged: u64,
     /// Individual entries dropped inside otherwise-good sections
     /// (unknown strategy or analysis mode from a future producer).
     pub entries_skipped: u64,
@@ -222,15 +215,6 @@ impl Wr {
         self.u32(s.len() as u32);
         self.0.extend_from_slice(s.as_bytes());
     }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(t) => {
-                self.u8(1);
-                self.u64(t);
-            }
-            None => self.u8(0),
-        }
-    }
 }
 
 /// Bounds-checked little-endian reader over a byte slice. Every read
@@ -268,12 +252,6 @@ impl<'a> Rd<'a> {
     fn str(&mut self) -> Result<String, SnapshotError> {
         let n = self.u32()? as usize;
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| malformed("invalid utf-8 string"))
-    }
-    fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        Ok(match self.u8()? {
-            0 => None,
-            _ => Some(self.u64()?),
-        })
     }
     fn done(&self) -> bool {
         self.pos == self.buf.len()
@@ -595,127 +573,29 @@ fn decode_report(r: &mut Rd<'_>) -> Result<Option<AnalysisReport>, SnapshotError
     }))
 }
 
-/// Encodes one [`SessionMemo`] (deterministic candidate order: sorted
-/// by encoded action codes). Returns the candidate count.
-fn encode_memo(
-    w: &mut Wr,
-    memo: &SessionMemo,
-    pos: &HashMap<usize, u32>,
-) -> Result<u64, SnapshotError> {
-    let mut cands: Vec<(Vec<u32>, &CandidateMemo)> = Vec::with_capacity(memo.candidates.len());
-    for (actions, m) in &memo.candidates {
-        let mut codes = Vec::with_capacity(actions.len());
-        for a in actions {
-            codes.push(match a {
-                Action::Idle => 0,
-                Action::Run(id) => {
-                    1 + pos
-                        .get(&id.index())
-                        .copied()
-                        .ok_or_else(|| malformed("memo candidate references unknown element"))?
-                }
-            });
-        }
-        cands.push((codes, m));
-    }
-    cands.sort_by(|a, b| a.0.cmp(&b.0));
-    w.u32(cands.len() as u32);
-    for (codes, m) in &cands {
-        w.u32(codes.len() as u32);
-        for &c in codes {
-            w.u32(c);
-        }
-        w.u32(m.async_latency.len() as u32);
-        for (&ix, &lat) in &m.async_latency {
-            w.u64(ix as u64);
-            w.opt_u64(lat);
-        }
-        w.u32(m.periodic.len() as u32);
-        for (&(ix, p, l, d), &(unserved, worst)) in &m.periodic {
-            w.u64(ix as u64);
-            w.u64(p);
-            w.u64(l);
-            w.u64(d);
-            w.u64(unserved);
-            w.opt_u64(worst);
-        }
-    }
-    Ok(memo.candidates.len() as u64)
-}
-
-fn decode_memo(
-    r: &mut Rd<'_>,
-    ids: &[ElementId],
-) -> Result<Vec<(Vec<Action>, CandidateMemo)>, SnapshotError> {
-    let ncand = r.u32()?;
-    let mut cands = Vec::new();
-    for _ in 0..ncand {
-        let actions = decode_actions(r, ids)?;
-        let mut memo = CandidateMemo::default();
-        let na = r.u32()?;
-        for _ in 0..na {
-            let ix = r.u64()? as usize;
-            let lat = r.opt_u64()?;
-            memo.async_latency.insert(ix, lat);
-        }
-        let np = r.u32()?;
-        for _ in 0..np {
-            let key = (r.u64()? as usize, r.u64()?, r.u64()?, r.u64()?);
-            let unserved = r.u64()?;
-            let worst = r.opt_u64()?;
-            memo.periodic.insert(key, (unserved, worst));
-        }
-        cands.push((actions, memo));
-    }
-    Ok(cands)
-}
-
 // -------------------------------------------------------------- engine
 
 impl Engine {
-    /// Saves the engine's memos to `path`. See
-    /// [`Engine::save_snapshot_with`] to include open sessions.
+    /// Saves the engine's result memo to `path`.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<SaveStats, SnapshotError> {
-        self.save_snapshot_with(path, &[])
-    }
-
-    /// Saves the engine's memos plus each given open session's resident
-    /// candidate memo (the serve daemon's checkpoint path).
-    pub fn save_snapshot_with(
-        &self,
-        path: impl AsRef<Path>,
-        sessions: &[&Session<'_>],
-    ) -> Result<SaveStats, SnapshotError> {
-        let (bytes, stats) = self.snapshot_bytes(sessions)?;
+        let (bytes, stats) = self.snapshot_bytes(&[])?;
         std::fs::write(path, &bytes)?;
         Ok(stats)
     }
 
-    /// Loads `path` and merges it into the live shards. See
-    /// [`Engine::load_snapshot_with`] to also warm open sessions.
+    /// Loads `path` and merges it into the live shards.
     pub fn load_snapshot(&self, path: impl AsRef<Path>) -> Result<LoadStats, SnapshotError> {
-        self.load_snapshot_with(path, &mut [])
-    }
-
-    /// [`Engine::load_snapshot`], additionally merging candidate
-    /// sections whose structure matches one of the given sessions into
-    /// that session's resident memo (instead of the engine's shared
-    /// per-structure map).
-    pub fn load_snapshot_with(
-        &self,
-        path: impl AsRef<Path>,
-        sessions: &mut [&mut Session<'_>],
-    ) -> Result<LoadStats, SnapshotError> {
         let bytes = std::fs::read(path)?;
-        self.load_snapshot_bytes(&bytes, sessions)
+        self.load_snapshot_bytes(&bytes, &mut [])
     }
 
     /// In-memory save: encodes every section and returns the bytes.
     /// Sections are ordered deterministically (by fingerprint), so two
-    /// saves of identical cache content are byte-identical.
+    /// saves of identical cache content are byte-identical. `_sessions`
+    /// is ignored: sessions hold nothing beyond the shared result memo.
     pub fn snapshot_bytes(
         &self,
-        sessions: &[&Session<'_>],
+        _sessions: &[&Session<'_>],
     ) -> Result<(Vec<u8>, SaveStats), SnapshotError> {
         let t0 = Instant::now();
         let mut stats = SaveStats::default();
@@ -755,43 +635,6 @@ impl Engine {
             sections.push((SECTION_RESULTS, w.0));
         }
 
-        // candidate sections: the engine's per-structure sessions, then
-        // the caller's open sessions (merging is idempotent, so overlap
-        // between the two is harmless)
-        let mut by_structure: BTreeMap<u64, (Model, Vec<u8>, u64)> = BTreeMap::new();
-        for shard in &self.sessions {
-            let map = unpoison(shard.lock()).clone();
-            for (&sf, sess) in map.iter() {
-                let sess = unpoison(sess.lock());
-                if sess.memo.is_empty() {
-                    continue;
-                }
-                let (_, pos) = element_positions(&sess.model);
-                let mut w = Wr::default();
-                let n = encode_memo(&mut w, &sess.memo, &pos)?;
-                by_structure.insert(sf, (sess.model.clone(), w.0, n));
-            }
-        }
-        for (_, (model, memo_bytes, n)) in by_structure {
-            let mut w = Wr::default();
-            encode_model(&mut w, &model)?;
-            w.u64(model.content_digest());
-            w.0.extend_from_slice(&memo_bytes);
-            stats.candidate_entries += n;
-            sections.push((SECTION_CANDIDATES, w.0));
-        }
-        for s in sessions {
-            if s.resident_memo().is_empty() {
-                continue;
-            }
-            let (_, pos) = element_positions(s.model());
-            let mut w = Wr::default();
-            encode_model(&mut w, s.model())?;
-            w.u64(s.model().content_digest());
-            stats.candidate_entries += encode_memo(&mut w, s.resident_memo(), &pos)?;
-            sections.push((SECTION_CANDIDATES, w.0));
-        }
-
         let mut out = Wr::default();
         out.0.extend_from_slice(&MAGIC);
         out.u32(FORMAT_VERSION);
@@ -819,10 +662,11 @@ impl Engine {
     /// In-memory load: decodes `bytes` and merges into the live shards.
     /// Each section is decoded and digest-verified in full before any
     /// shard is touched; on error the engine is left exactly as it was.
+    /// `_sessions` is ignored, as in [`Engine::snapshot_bytes`].
     pub fn load_snapshot_bytes(
         &self,
         bytes: &[u8],
-        sessions: &mut [&mut Session<'_>],
+        _sessions: &mut [&mut Session<'_>],
     ) -> Result<LoadStats, SnapshotError> {
         let t0 = Instant::now();
         let mut stats = LoadStats {
@@ -838,11 +682,6 @@ impl Engine {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let nsections = r.u32()?;
-        let mut resident: HashMap<u64, &mut SessionMemo> = HashMap::new();
-        for s in sessions.iter_mut() {
-            let sf = structure_fingerprint(s.model());
-            resident.insert(sf, s.resident_memo_mut());
-        }
         r.what = "section header";
         for _ in 0..nsections {
             let kind = r.u8()?;
@@ -855,9 +694,6 @@ impl Engine {
             }
             match kind {
                 SECTION_RESULTS => self.merge_result_section(payload, &mut stats)?,
-                SECTION_CANDIDATES => {
-                    self.merge_candidate_section(payload, &mut resident, &mut stats)?
-                }
                 _ => stats.sections_skipped += 1,
             }
         }
@@ -943,60 +779,6 @@ impl Engine {
         stats.sections_loaded += 1;
         Ok(())
     }
-
-    fn merge_candidate_section(
-        &self,
-        payload: &[u8],
-        resident: &mut HashMap<u64, &mut SessionMemo>,
-        stats: &mut LoadStats,
-    ) -> Result<(), SnapshotError> {
-        let mut r = Rd::new(payload, "candidate section");
-        let (model, ids) = decode_model(&mut r)?;
-        let digest = r.u64()?;
-        let cands = decode_memo(&mut r, &ids)?;
-        if !r.done() {
-            return Err(malformed("trailing bytes in candidate section"));
-        }
-        if model.validate().is_err() || model.content_digest() != digest {
-            stats.sections_skipped += 1;
-            return Ok(());
-        }
-        let sf = structure_fingerprint(&model);
-        let merged = if let Some(memo) = resident.get_mut(&sf) {
-            merge_memo(memo, cands)
-        } else {
-            match self.session_for(&model, sf) {
-                Ok(sess) => merge_memo(&mut unpoison(sess.lock()).memo, cands),
-                // a model the pruner template refuses cannot host a
-                // session — treat like any other stale section
-                Err(_) => {
-                    stats.sections_skipped += 1;
-                    return Ok(());
-                }
-            }
-        };
-        stats.candidates_merged += merged;
-        stats.sections_loaded += 1;
-        Ok(())
-    }
-}
-
-/// Entry-granular insert-if-absent: live latencies/window scans always
-/// win over snapshot values. Returns the number of candidate strings
-/// touched.
-fn merge_memo(dst: &mut SessionMemo, cands: Vec<(Vec<Action>, CandidateMemo)>) -> u64 {
-    let mut merged = 0;
-    for (actions, m) in cands {
-        let entry = dst.candidates.entry(actions).or_default();
-        for (ix, v) in m.async_latency {
-            entry.async_latency.entry(ix).or_insert(v);
-        }
-        for (k, v) in m.periodic {
-            entry.periodic.entry(k).or_insert(v);
-        }
-        merged += 1;
-    }
-    merged
 }
 
 #[cfg(test)]
@@ -1015,15 +797,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_results_and_candidates() {
+    fn snapshot_round_trips_results() {
         let (m, _) = rtcg_core::mok_example::default_model();
         let engine = Engine::new();
         let cold = engine.analyze(&m, &exact_req()).unwrap();
         let heur = engine.analyze(&m, &AnalysisRequest::default()).unwrap();
         let (bytes, save) = engine.snapshot_bytes(&[]).unwrap();
-        assert!(save.sections >= 2, "result + candidate sections");
+        assert_eq!(save.sections, 1, "one result section per subject model");
         assert!(save.result_entries == 2);
-        assert!(save.candidate_entries > 0);
         assert_eq!(save.bytes, bytes.len() as u64);
 
         let warm = Engine::new();
@@ -1031,7 +812,6 @@ mod tests {
         assert_eq!(load.sections_loaded, save.sections);
         assert_eq!(load.sections_skipped, 0);
         assert_eq!(load.results_inserted, 2);
-        assert!(load.candidates_merged > 0);
 
         // both replays are result-memo hits with bit-identical verdicts
         let replay = warm.analyze(&m, &exact_req()).unwrap();
@@ -1055,33 +835,6 @@ mod tests {
         // a second save of the merged engine reproduces the bytes
         let (bytes2, _) = warm.snapshot_bytes(&[]).unwrap();
         assert_eq!(bytes, bytes2, "snapshot encoding is deterministic");
-    }
-
-    #[test]
-    fn candidate_memo_serves_leaf_evals_after_load() {
-        let (m, _) = rtcg_core::mok_example::default_model();
-        let engine = Engine::new();
-        engine.analyze(&m, &exact_req()).unwrap();
-        let computed = engine.stats().leaf_evals_computed;
-        assert!(computed > 0);
-        let (bytes, _) = engine.snapshot_bytes(&[]).unwrap();
-
-        // deadline-edited probe on a warm engine: same structure, so
-        // the loaded candidate memo serves the leaf evaluations
-        let warm = Engine::new();
-        warm.load_snapshot_bytes(&bytes, &mut []).unwrap();
-        let edited = rtcg_core::ModelDelta::SetDeadline {
-            constraint: rtcg_core::ConstraintId::new(0),
-            deadline: m.constraints()[0].deadline + 1,
-        }
-        .apply(&m)
-        .unwrap();
-        warm.analyze(&edited, &exact_req()).unwrap();
-        let s = warm.stats();
-        assert!(
-            s.leaf_evals_saved > 0,
-            "loaded candidate memo should serve leaf evals, stats: {s:?}"
-        );
     }
 
     #[test]

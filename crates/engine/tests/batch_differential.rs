@@ -71,8 +71,7 @@ fn spec() -> impl Strategy<
 }
 
 /// The whole edit trajectory as a job list (deadline sweeps are the
-/// batch workload the tentpole targets: overlapping structures, shared
-/// candidate memos).
+/// batch workload: overlapping structures, repeated questions).
 fn jobs_from(
     elems: &[(u64, u64)],
     chain_d: Option<u64>,

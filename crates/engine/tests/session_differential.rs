@@ -1,11 +1,10 @@
 //! Differential pinning of long-lived sessions against cold analysis.
 //!
-//! A [`Session`]'s contract is that delta-aware invalidation is
-//! *invisible*: after any sequence of model deltas — retunes, weight
-//! edits, element/channel/constraint add/remove — analyzing the
-//! resident model through the session's hot candidate memo must be
-//! bit-identical (verdict, schedule, search counters) to a cold
-//! `analyze_once` of the same model. These tests drive randomized delta
+//! A [`Session`]'s contract is that its state is *invisible*: after any
+//! sequence of model deltas — retunes, weight edits,
+//! element/channel/constraint add/remove — analyzing the resident model
+//! through the session must be bit-identical (verdict, schedule, search
+//! counters) to a cold `analyze_once` of the same model. These tests drive randomized delta
 //! sequences through a session and check that contract after every
 //! applied delta, plus the journal laws: replaying the journal onto the
 //! base model reproduces the resident model, and undoing the whole

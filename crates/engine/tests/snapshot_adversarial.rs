@@ -16,13 +16,21 @@ fn exact_req() -> AnalysisRequest {
     }
 }
 
-/// A snapshot with at least one result section (two entries: heuristic
-/// + exact) and one candidate section, from the Mok example.
+/// A snapshot with two result sections: the Mok example (two entries:
+/// heuristic + exact) and a deadline-edited copy (heuristic).
 fn snapshot_bytes() -> Vec<u8> {
     let (m, _) = rtcg_core::mok_example::default_model();
+    let id = rtcg_core::ConstraintId::new(0);
+    let deadline = m.constraint(id).unwrap().deadline + 1;
+    let edited = rtcg_core::sensitivity::with_deadline(&m, id, deadline)
+        .unwrap()
+        .unwrap();
     let engine = Engine::new();
     engine.analyze(&m, &AnalysisRequest::default()).unwrap();
     engine.analyze(&m, &exact_req()).unwrap();
+    engine
+        .analyze(&edited, &AnalysisRequest::default())
+        .unwrap();
     let (bytes, save) = engine.snapshot_bytes(&[]).unwrap();
     assert!(save.sections >= 2);
     bytes

@@ -172,3 +172,37 @@ proptest! {
         prop_assert_eq!(bytes, bytes2);
     }
 }
+
+/// Files written while the engine still kept a candidate memo carry
+/// kind-2 candidate sections in the same framing. Such a file still
+/// loads: the old section is skipped and counted, and the result
+/// sections replay as before.
+#[test]
+fn legacy_candidate_sections_are_skipped() {
+    let (m, _) = rtcg_core::mok_example::default_model();
+    let req = request_for(2);
+    let engine = Engine::new();
+    let original = engine.analyze(&m, &req).unwrap();
+    let (bytes, save) = engine.snapshot_bytes(&[]).unwrap();
+
+    // header: magic, u32 format version, u32 section count; splice one
+    // kind-2 section right after it and bump the count
+    let count_at = rtcg_engine::snapshot::MAGIC.len() + 4;
+    let count = u32::from_le_bytes(bytes[count_at..count_at + 4].try_into().unwrap());
+    let payload = b"an old candidate memo, never decoded";
+    let mut legacy = bytes[..count_at].to_vec();
+    legacy.extend_from_slice(&(count + 1).to_le_bytes());
+    legacy.push(2);
+    legacy.extend_from_slice(&rtcg_engine::fingerprint::FP_SCHEMA_VERSION.to_le_bytes());
+    legacy.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    legacy.extend_from_slice(payload);
+    legacy.extend_from_slice(&bytes[count_at + 4..]);
+
+    let warm = Engine::new();
+    let load = warm.load_snapshot_bytes(&legacy, &mut []).unwrap();
+    assert_eq!(load.sections_skipped, 1);
+    assert_eq!(load.sections_loaded, save.sections);
+    let replay = warm.analyze(&m, &req).unwrap();
+    assert!(replay.cached, "replay must be a result-memo hit");
+    assert_reports_identical(&original, &replay);
+}

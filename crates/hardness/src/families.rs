@@ -8,23 +8,26 @@ use rtcg_core::model::{Model, ModelBuilder};
 use rtcg_core::task::TaskGraphBuilder;
 
 /// Theorem 2(i) family: unit-weight elements, task graphs that are
-/// chains of length 3 (plus, for odd flavor, singleton chains of length
-/// 1). `n` chain constraints over `3n` distinct unit elements; deadlines
-/// sit at the boundary `d = 5 + 6(n-1)` where interleaving all chains is
-/// just possible.
+/// chains of length 3. `n` chain constraints over `3n` distinct unit
+/// elements, all with the common deadline `d = 5 + 6(n-1)`.
 ///
-/// Rationale: one 3-chain alone needs `d ≥ 5` (latency of the
-/// back-to-back schedule); each extra chain adds 3 ticks of work between
-/// two consecutive executions of any chain, doubled by the window
-/// sliding — `6` per chain keeps the family feasible but tight.
+/// That deadline is feasible, but for `n ≥ 2` it is not the boundary.
+/// Running the chains back to back (`c0a c0b c0c c1a …`) meets
+/// `3n + 2`: the cycle lasts `3n` ticks, so a request that just misses
+/// a chain's first op waits `3n − 1` ticks for it and then 3 for the
+/// chain. The exact search with at most `3n + 3` actions finds no
+/// schedule below `3n + 2` for `n = 1, 2`, and finds one at `3n + 2`
+/// for `n = 1, 2, 3`. So `5 + 6(n-1)` equals the boundary at `n = 1`
+/// and leaves `3(n − 1)` ticks of slack above it after that.
 pub fn chain_family(n: usize) -> Model {
     chain_family_with_deadline(n, 5 + 6 * (n.saturating_sub(1)) as u64)
 }
 
-/// [`chain_family`] with an explicit common deadline `d` instead of the
-/// just-feasible boundary value. Tightening `d` below the boundary
-/// yields infeasible instances whose *proof* of infeasibility is where
-/// search effort concentrates — the knob the pruning experiments turn.
+/// [`chain_family`] with an explicit common deadline `d`. Deadlines
+/// below `3n + 2` (the boundary measured in [`chain_family`]'s doc)
+/// give instances without a schedule, whose *proof* of infeasibility is
+/// where search effort concentrates — the knob the pruning experiments
+/// turn.
 pub fn chain_family_with_deadline(n: usize, d: u64) -> Model {
     let mut b = ModelBuilder::new();
     for i in 0..n {

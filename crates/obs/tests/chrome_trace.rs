@@ -3,20 +3,51 @@
 //! only; the obs crate itself stays dependency-free).
 //!
 //! Installing a recorder is process-global and one-way, so every test
-//! in this binary shares the single installed `MemoryRecorder`.
+//! in this binary shares the single installed `MemoryRecorder`, and
+//! the tests take turns on it (see [`populate`]).
 
 use rtcg_obs::MemoryRecorder;
-use std::sync::OnceLock;
+use std::sync::mpsc;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 fn recorder() -> &'static MemoryRecorder {
     static REC: OnceLock<&'static MemoryRecorder> = OnceLock::new();
     REC.get_or_init(MemoryRecorder::install)
 }
 
-fn populate() -> &'static MemoryRecorder {
+/// Runs `record` on this binary's one recording thread and waits for
+/// it. A thread's trace lane (`tid`, its [`rtcg_obs::thread_ordinal`])
+/// is assigned on its first record, and the harness runs each test on a
+/// thread of its own; recording from one long-lived thread keeps every
+/// test's events on lane 1.
+fn on_recording_thread(record: fn()) {
+    type Job = (fn(), mpsc::Sender<()>);
+    static JOBS: OnceLock<mpsc::Sender<Job>> = OnceLock::new();
+    let jobs = JOBS.get_or_init(|| {
+        let (tx, rx) = mpsc::channel::<Job>();
+        std::thread::spawn(move || {
+            for (job, done) in rx {
+                job();
+                let _ = done.send(());
+            }
+        });
+        tx
+    });
+    let (done, finished) = mpsc::channel();
+    jobs.send((record, done)).expect("recording thread runs");
+    finished.recv().expect("recording thread finishes the job");
+}
+
+/// Resets the shared recorder and records a fixed set of spans,
+/// metrics and events into it. The returned guard keeps sibling tests,
+/// which run on other threads, from resetting or recording into the
+/// recorder until the caller has read it back.
+fn populate() -> (MutexGuard<'static, ()>, &'static MemoryRecorder) {
+    static TURN: Mutex<()> = Mutex::new(());
+    let turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
     let rec = recorder();
     rec.reset();
-    {
+    on_recording_thread(|| {
         let _outer = rtcg_obs::span!("outer \"quoted\" name", "search");
         let _inner = rtcg_obs::span!("inner", "search");
         rtcg_obs::counter!("trace.counter", 3);
@@ -24,13 +55,13 @@ fn populate() -> &'static MemoryRecorder {
         rtcg_obs::histogram!("trace.hist", 42);
         rtcg_obs::event!("trace.event\\with\\backslashes", "sim");
         rtcg_obs::event!("trace.plain_event", "sim", 99);
-    }
-    rec
+    });
+    (turn, rec)
 }
 
 #[test]
 fn chrome_trace_parses_with_serde_json() {
-    let rec = populate();
+    let (_turn, rec) = populate();
     let json = rec.chrome_trace_json();
     let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
     assert_eq!(v["displayTimeUnit"], "ms");
@@ -54,7 +85,7 @@ fn chrome_trace_parses_with_serde_json() {
 
 #[test]
 fn span_durations_are_microseconds_and_ordered() {
-    let rec = populate();
+    let (_turn, rec) = populate();
     let json = rec.chrome_trace_json();
     let v: serde_json::Value = serde_json::from_str(&json).unwrap();
     let spans: Vec<&serde_json::Value> = v["traceEvents"]
@@ -78,7 +109,7 @@ fn span_durations_are_microseconds_and_ordered() {
 
 #[test]
 fn metrics_jsonl_lines_parse_individually() {
-    let rec = populate();
+    let (_turn, rec) = populate();
     let jsonl = rec.metrics_jsonl();
     let mut types = std::collections::BTreeSet::new();
     for line in jsonl.lines() {

@@ -2,20 +2,32 @@
 //!
 //! A counting global allocator wraps the system one; with no recorder
 //! installed, driving every macro through its fast path must leave the
-//! allocation counter untouched. This test binary must never install a
+//! allocation counter untouched. The counter is per thread, so a test
+//! counts only its own allocations while the harness runs its siblings
+//! (and itself) on other threads. This test binary must never install a
 //! recorder, so it lives alone in its own integration-test crate —
 //! don't add recorder-installing tests here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: a thread tearing down its locals may still free
+        // and allocate; those allocations are not a test's to count
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -34,7 +46,7 @@ fn uninstalled_macros_do_not_allocate() {
     // measured window
     let _ = rtcg_obs::epoch();
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..10_000u64 {
         rtcg_obs::counter!("alloc.test.counter");
         rtcg_obs::counter!("alloc.test.counter", i & 3);
@@ -43,7 +55,7 @@ fn uninstalled_macros_do_not_allocate() {
         rtcg_obs::event!("alloc.test.event", "test", i);
         let _span = rtcg_obs::span!("alloc.test.span", "test");
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -56,11 +68,11 @@ fn uninstalled_macros_do_not_allocate() {
 fn uninstalled_span_records_no_time() {
     // Span with no recorder holds no Instant: dropping it is free and
     // must not allocate either
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..1000 {
         let s = rtcg_obs::Span::begin("alloc.test.direct", "test");
         drop(s);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(after - before, 0);
 }
